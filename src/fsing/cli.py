@@ -114,7 +114,7 @@ def _check_poly(field, varctx, name, f, args):
             f" at {varctx.monomial_str(off)}",
             off,
         )
-    Q = disjoint_factorization(f, seed=args.seed)
+    Q = disjoint_factorization(f)
     entry["factors"] = [str(g) for g in Q.factors]
     entry["t"] = Q.t
     status = "pass"
@@ -190,7 +190,7 @@ def _cmd_factor(args) -> int:
     parsed = parse_poly_file(args.file)
     entries = []
     for name, f in _select_polys(parsed, args.poly):
-        Q = disjoint_factorization(f, seed=args.seed)
+        Q = disjoint_factorization(f)
         entries.append(
             {
                 "name": name,
@@ -198,7 +198,6 @@ def _cmd_factor(args) -> int:
                 "constant": Q.field.scalar_str(Q.constant),
                 "factors": [str(g) for g in Q.factors],
                 "t": Q.t,
-                "used_fallback": Q.used_fallback,
             }
         )
     report = build_report(
@@ -222,7 +221,7 @@ def _cmd_fpt(args) -> int:
     entries = []
     status = "pass"
     for name, f in _select_polys(parsed, args.poly):
-        Q = disjoint_factorization(f, seed=args.seed)
+        Q = disjoint_factorization(f)
         entry = {"name": name, "poly": str(f), "t": Q.t}
         origin = tuple(field.zero for _ in range(parsed.varctx.n))
         on_variety = all(g.evaluate(origin) == field.zero for g in Q.factors)
@@ -364,6 +363,17 @@ def _cmd_suite(args) -> int:
 # parser
 # --------------------------------------------------------------------------
 
+def _positive_int(text):
+    """argparse type for Frobenius exponents: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fsing",
@@ -376,8 +386,6 @@ def _build_parser():
     common.add_argument("--text", action="store_true",
                         help="emit a short text summary instead of JSON")
     common.add_argument("--out", metavar="FILE", help="write the report to FILE")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized internals (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", parents=[common],
@@ -386,7 +394,7 @@ def _build_parser():
     c.add_argument("--poly", help="restrict to one named polynomial")
     c.add_argument("--tests", choices=("all", "fsplit", "certificate"),
                    default="all", help="which layer of tests to run")
-    c.add_argument("--e-max", type=int, default=3, dest="e_max",
+    c.add_argument("--e-max", type=_positive_int, default=3, dest="e_max",
                    help="largest Frobenius exponent tried per certificate stage")
     c.add_argument("--s-max", type=int, default=3, dest="s_max",
                    help="largest extension degree searched for maximizers")
@@ -403,7 +411,7 @@ def _build_parser():
                         help="threshold samples and origin invariants")
     fp.add_argument("file")
     fp.add_argument("--poly")
-    fp.add_argument("--e-max", type=int, default=2, dest="e_max",
+    fp.add_argument("--e-max", type=_positive_int, default=2, dest="e_max",
                     help="sample every level up to this exponent")
     fp.set_defaults(func=_cmd_fpt)
 
@@ -412,7 +420,7 @@ def _build_parser():
     mt.add_argument("file")
     mt.add_argument("--p", type=int, default=2, help="characteristic (default 2)")
     mt.add_argument("--tests", choices=("all", "fsplit", "certificate"), default="all")
-    mt.add_argument("--e-max", type=int, default=3, dest="e_max")
+    mt.add_argument("--e-max", type=_positive_int, default=3, dest="e_max")
     mt.add_argument("--s-max", type=int, default=2, dest="s_max")
     mt.add_argument("--point", default=None)
     mt.set_defaults(func=_cmd_matroid)
@@ -423,7 +431,7 @@ def _build_parser():
     md.add_argument("--g", required=True, help="name of the divisor polynomial")
     md.add_argument("--h", required=True, help="name of the added form")
     md.add_argument("--a", help="comma separated linear form coefficients")
-    md.add_argument("--e-max", type=int, default=3, dest="e_max")
+    md.add_argument("--e-max", type=_positive_int, default=3, dest="e_max")
     md.add_argument("--s-max", type=int, default=2, dest="s_max")
     md.add_argument("--max-points", type=int, default=20, dest="max_points")
     md.set_defaults(func=_cmd_modify)
@@ -435,7 +443,9 @@ def _build_parser():
     st.add_argument("--n", type=int, default=8)
     st.add_argument("--max-terms", type=int, default=8, dest="max_terms")
     st.add_argument("--max-factors", type=int, default=3, dest="max_factors")
-    st.add_argument("--e-max", type=int, default=2, dest="e_max")
+    st.add_argument("--e-max", type=_positive_int, default=2, dest="e_max")
+    st.add_argument("--seed", type=int, default=0,
+                    help="seed of the random sample stream (default 0)")
     st.add_argument("--file", help="poly file of extra inputs to include")
     st.set_defaults(func=_cmd_suite)
     return parser

@@ -268,7 +268,7 @@ def parse_matroid_source(text: str) -> MatroidInput:
             if not idx:
                 raise MatroidFormatError(f"line {lineno}: empty basis")
             if any(i < 1 or i > n for i in idx):
-                raise IndexError(f"line {lineno}: basis index out of 1..{n}")
+                raise MatroidFormatError(f"line {lineno}: basis index out of 1..{n}")
             if len(set(idx)) != len(idx):
                 raise MatroidFormatError(f"line {lineno}: repeated element in basis")
             bases.append(tuple(sorted(idx)))

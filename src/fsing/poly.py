@@ -385,17 +385,6 @@ class Poly:
         pad = (0,) * (big.s - 1)
         return Poly(big, self.vars, {e: (c[0],) + pad for e, c in self.terms.items()})
 
-    def contract(self, small: Field) -> "Poly | None":
-        """Inverse of :meth:`embed` when every coefficient lies in the prime subfield."""
-        if small.p != self.field.p or small.s != 1:
-            raise ContextMismatchError("contraction targets the prime field")
-        out = {}
-        for e, c in self.terms.items():
-            if any(c[1:]):
-                return None
-            out[e] = (c[0],)
-        return Poly(small, self.vars, out)
-
     # -- formatting --------------------------------------------------------
 
     def __str__(self):

@@ -7,38 +7,34 @@ disjoint variable sets; the quotient by those factors is then a complete
 intersection.  This module computes that factorization and the derived
 gcd and irreducibility predicates.
 
-The factorization works in two layers:
-
-1. a coupling heuristic: variables i and j must share a factor whenever
-   f * d_i d_j f != (d_i f) * (d_j f); connected components of that
-   relation are candidate factor supports, and candidate factors are
-   extracted by specializing the complementary variables at a point
-   where the cofactor does not vanish, then verified by exact division;
-2. an exhaustive bipartition fallback, complete for inputs with at most
-   20 variables: every variable split is tried with a deterministic
-   0/1 specialization grid.  A nonzero square-free supported polynomial
-   cannot vanish on a full 0/1 grid, so the correct split always yields
-   a nonvanishing cofactor point.
+The factorization is exact and deterministic.  Write a multilinear f as
+f = a*x_i*x_j + b*x_i + c*x_j + d with a, b, c, d free of x_i and x_j.
+Then f * d_i d_j f - (d_i f)(d_j f) = ad - bc, which vanishes exactly
+when the matrix [[a, b], [c, d]] has rank one; over a UFD that means
+f = (g1*x_i + g2)(h1*x_j + h2).  So x_i and x_j are uncoupled (the
+difference vanishes) exactly when they lie in different irreducible
+factors: coupling is an equivalence relation whose classes are the
+factor supports.  Each factor is then read off the term table: the
+terms of f sharing one fixed monomial outside a block are that block's
+factor times a single coefficient of the cofactor.  Re-expanding the
+product of the factors reproduces f, which proves the result.
 """
 
 from __future__ import annotations
 
-import random
-from itertools import combinations, product
+from operator import sub
 
 from .errors import (
     ContextMismatchError,
     DegreeRangeError,
     FsingError,
     NotSquareFreeSupportedError,
+    TheoremContradictionError,
     ZeroLeadingError,
     ZeroOrConstantError,
 )
-from .field import Field, build_field
-from .poly import Poly, canon_key, exact_divide
-
-FALLBACK_VAR_LIMIT = 20
-SPECIALIZE_TRIALS = 64
+from .field import build_field
+from .poly import Poly, canon_key
 
 
 def squarefree_offender(f: Poly):
@@ -53,11 +49,6 @@ def is_squarefree_supported(f: Poly) -> bool:
     return squarefree_offender(f) is None
 
 
-def support_vars(f: Poly):
-    """Support in canonical order plus the set of variable indices used."""
-    return f.support(), f.vars_used()
-
-
 class CIdeal:
     """A complete-intersection presentation by variable-disjoint factors.
 
@@ -65,14 +56,16 @@ class CIdeal:
     sets, together with the scalar making the product equal the input.
     """
 
-    __slots__ = ("field", "vars", "factors", "varsets", "constant", "used_fallback")
+    __slots__ = ("field", "vars", "factors", "varsets", "constant")
 
-    def __init__(self, field, varctx, factors, constant, used_fallback=False, validate=True):
+    # No fallback path exists; the attribute stays for code that still reads it.
+    used_fallback = False
+
+    def __init__(self, field, varctx, factors, constant, validate=True):
         self.field = field
         self.vars = varctx
         self.factors = list(factors)
         self.constant = constant
-        self.used_fallback = used_fallback
         self.varsets = [g.vars_used() for g in self.factors]
         if validate:
             seen = set()
@@ -127,123 +120,67 @@ class CIdeal:
 
 
 # --------------------------------------------------------------------------
-# coupling heuristic
+# factorization
 # --------------------------------------------------------------------------
+
+def _coupled(f: Poly, i: int, j: int) -> bool:
+    """Whether ad != bc, writing f = a*x_i*x_j + b*x_i + c*x_j + d.
+
+    ad - bc equals f * d_i d_j f - (d_i f)(d_j f); it vanishes exactly
+    when f = (g1*x_i + g2)(h1*x_j + h2), that is, when x_i and x_j lie
+    in different irreducible factors.
+    """
+    parts = {(1, 1): {}, (1, 0): {}, (0, 1): {}, (0, 0): {}}
+    for e, coeff in f.terms.items():
+        rest = list(e)
+        rest[i] = rest[j] = 0
+        parts[e[i], e[j]][tuple(rest)] = coeff
+    a, b, c, d = (Poly(f.field, f.vars, parts[k]) for k in ((1, 1), (1, 0), (0, 1), (0, 0)))
+    return a * d != b * c
+
 
 def _coupling_components(f: Poly):
-    """Partition vars(f) so that coupled variables share a block.
+    """Partition vars(f) into the variable sets of its irreducible factors.
 
-    Coupled means f * d_i d_j f != (d_i f)(d_j f), which forces i and j
-    into the same irreducible factor; the components therefore refine
-    the true factor supports and never merge distinct factors.
+    Coupling (see :func:`_coupled`) holds exactly between variables of
+    the same irreducible factor, so it is an equivalence relation whose
+    classes are the factor supports: each block is its least variable
+    plus every remaining variable coupled with it.
     """
-    vs = sorted(f.vars_used())
-    parent = {i: i for i in vs}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    partials = {i: f.derivative(i) for i in vs}
-    for i, j in combinations(vs, 2):
-        if find(i) == find(j):
-            continue
-        mixed = partials[i].derivative(j)
-        if f * mixed != partials[i] * partials[j]:
-            parent[find(j)] = find(i)
-    blocks = {}
-    for i in vs:
-        blocks.setdefault(find(i), []).append(i)
-    return sorted(blocks.values(), key=lambda b: b[0])
+    rest = sorted(f.vars_used())
+    blocks = []
+    while rest:
+        pivot, rest = rest[0], rest[1:]
+        block, left = [pivot], []
+        for j in rest:
+            (block if _coupled(f, pivot, j) else left).append(j)
+        blocks.append(block)
+        rest = left
+    return blocks
 
 
-def _random_point(field, rng):
-    return field.decode(rng.randrange(field.order))
+def _block_factor(f: Poly, block) -> Poly:
+    """The monic factor of f on the variables of ``block``.
 
-
-def _extract_candidate(f: Poly, block, rng):
-    """Monic candidate factor supported inside ``block``, or None.
-
-    Specializes the variables outside the block at random points, over
-    the base field first and then over quadratic and cubic extensions,
-    keeping the first specialization that stays nonconstant.
+    The terms of f whose exponents outside the block equal those of the
+    leading monomial are the block's factor times one cofactor coefficient.
     """
-    outside = sorted(f.vars_used() - set(block))
-    if not outside:
-        return f.monic()
-    levels = [1, 2, 3] if f.field.s == 1 else [1]
-    for level in levels:
-        if level == 1:
-            big = f.field
-            lifted = f
-        else:
-            big = build_field(f.field.p, level)
-            lifted = f.embed(big)
-        for _ in range(SPECIALIZE_TRIALS):
-            assignment = {i: _random_point(big, rng) for i in outside}
-            cand = lifted.substitute(assignment)
-            if cand.is_zero() or cand.is_constant():
-                continue
-            cand = cand.monic()
-            if level > 1:
-                cand = cand.contract(f.field)
-                if cand is None:
-                    continue
-            return cand
-    return None
+    inside = set(block)
+
+    def outside(exps):
+        return tuple(0 if i in inside else v for i, v in enumerate(exps))
+
+    w0 = outside(f.leading_monomial())
+    terms = {tuple(map(sub, e, w0)): c for e, c in f.terms.items() if outside(e) == w0}
+    return Poly(f.field, f.vars, terms).monic()
 
 
-# --------------------------------------------------------------------------
-# exhaustive bipartition fallback
-# --------------------------------------------------------------------------
-
-def _grid_candidate(f: Poly, block):
-    """Deterministic candidate extraction over the 0/1 grid outside ``block``."""
-    fld = f.field
-    outside = sorted(f.vars_used() - set(block))
-    for bits in product((fld.zero, fld.one), repeat=len(outside)):
-        assignment = dict(zip(outside, bits))
-        cand = f.substitute(assignment)
-        if not cand.is_zero() and not cand.is_constant():
-            return cand.monic()
-    return None
-
-
-def _bipartition_factors(f: Poly):
-    """Complete factorization by trying every variable bipartition."""
-    vs = sorted(f.vars_used())
-    if len(vs) > FALLBACK_VAR_LIMIT:
-        raise FsingError(
-            f"exhaustive bipartition fallback is limited to {FALLBACK_VAR_LIMIT} variables"
-        )
-    if len(vs) <= 1:
-        return [f.monic()]
-    anchor, rest = vs[0], vs[1:]
-    for size in range(0, len(rest)):
-        for extra in combinations(rest, size):
-            block = {anchor, *extra}
-            cand = _grid_candidate(f, block)
-            if cand is None or not (cand.vars_used() <= block):
-                continue
-            cof = exact_divide(f, cand)
-            if cof is None or cof.is_constant():
-                continue
-            return _bipartition_factors(cand) + _bipartition_factors(cof)
-    return [f.monic()]
-
-
-# --------------------------------------------------------------------------
-# public entry points
-# --------------------------------------------------------------------------
-
-def disjoint_factorization(f: Poly, seed: int = 0) -> CIdeal:
+def disjoint_factorization(f: Poly) -> CIdeal:
     """Factor a square-free supported polynomial into disjoint irreducibles.
 
-    The result is verified internally: factors are monic, square-free
-    supported, on pairwise disjoint variable sets, and their product
-    times the recorded constant reproduces the input exactly.
+    Factors are monic, square-free supported, on pairwise disjoint
+    variable sets and sorted by least variable; their product times the
+    recorded constant is checked to reproduce the input exactly.
     """
     if f.is_zero() or f.is_constant():
         raise ZeroOrConstantError("factorization needs a nonconstant input")
@@ -252,42 +189,20 @@ def disjoint_factorization(f: Poly, seed: int = 0) -> CIdeal:
         raise NotSquareFreeSupportedError(
             f"input is not square-free supported at {f.vars.monomial_str(off)}", off
         )
-    rng = random.Random(seed)
-    factors = []
-    used_fallback = False
-    work = f
-    while not work.is_constant():
-        blocks = _coupling_components(work)
-        if len(blocks) == 1:
-            factors.append(work.monic())
-            break
-        progressed = False
-        for block in blocks:
-            cand = _extract_candidate(work, block, rng)
-            if cand is None:
-                continue
-            cof = exact_divide(work, cand)
-            if cof is None:
-                continue
-            factors.append(cand)
-            work = cof
-            progressed = True
-            break
-        if not progressed:
-            used_fallback = True
-            factors.extend(_bipartition_factors(work))
-            break
+    factors = [_block_factor(f, block) for block in _coupling_components(f)]
     constant = f.terms[f.leading_monomial()]
-    factors.sort(key=lambda g: min(g.vars_used()))
-    ideal = CIdeal(f.field, f.vars, factors, constant, used_fallback=used_fallback)
-    check = ideal.product().scale(constant)
-    assert check == f, "factorization failed the re-expansion check"
+    ideal = CIdeal(f.field, f.vars, factors, constant)
+    if ideal.product().scale(constant) != f:
+        raise TheoremContradictionError(
+            "factorization failed the re-expansion check",
+            {"input": str(f), "factors": [str(g) for g in factors]},
+        )
     return ideal
 
 
-def is_irreducible_sqfree(f: Poly, seed: int = 0) -> bool:
+def is_irreducible_sqfree(f: Poly) -> bool:
     """Irreducibility over the coefficient field, via the factor count."""
-    return disjoint_factorization(f, seed=seed).t == 1
+    return disjoint_factorization(f).t == 1
 
 
 def degree_one_irreducibility(g: Poly, h: Poly) -> bool:

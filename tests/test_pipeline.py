@@ -177,7 +177,7 @@ def test_matroid_format_errors():
         parse_matroid_source("matroid\nbasis 1\n")
     with pytest.raises(MatroidFormatError, match="empty basis"):
         parse_matroid_source("matroid\nn 2\nbasis\n")
-    with pytest.raises(IndexError):
+    with pytest.raises(MatroidFormatError, match="basis index"):
         parse_matroid_source("matroid\nn 2\nbasis 3\n")
     with pytest.raises(MatroidFormatError, match="repeated element"):
         parse_matroid_source("matroid\nn 2\nbasis 1 1\n")
@@ -462,6 +462,35 @@ def test_cli_matroid(tmp_path, capsys):
     assert main(["matroid", str(broken)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "counterexample"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{poly}", "--e-max", "0"],
+        ["fpt", "{poly}", "--e-max", "0"],
+        ["matroid", "{matroid}", "--e-max", "0"],
+        ["modify", "{poly}", "--g", "f", "--h", "h", "--e-max", "0"],
+        ["suite", "--count", "1", "--e-max", "0"],
+        ["check", "{poly}", "--seed", "3"],
+        ["matroid", "{bad_matroid}"],
+    ],
+    ids=["check", "fpt", "matroid", "modify", "suite", "check-seed", "basis-index"],
+)
+def test_cli_usage_errors_exit_2(tmp_path, capsys, argv):
+    files = {
+        "poly": "p 2\nvars x y z w\npoly f: x*y + z*w\npoly h: x*y*w + x*z*w\n",
+        "matroid": "matroid\nn 3\nbasis 1 2\nbasis 1 3\nbasis 2 3\n",
+        "bad_matroid": "matroid\nn 2\nbasis 3\n",
+    }
+    paths = {}
+    for key, text in files.items():
+        paths[key] = tmp_path / key
+        paths[key].write_text(text)
+    assert main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 def test_cli_modify(tmp_path, capsys):

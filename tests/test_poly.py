@@ -281,14 +281,12 @@ def test_multiply_monomial_truncated():
     assert inv == mk(F2, XYZW, {(2, 1, 0, 0): 1, (1, 0, 1, 1): 1})
 
 
-def test_embed_and_contract():
+def test_embed():
     f = mk(F3, XY, {(1, 1): 2, (0, 1): 1})
     F9 = build_field(3, 2)
     g = f.embed(F9)
     assert g.field == F9
-    assert g.contract(F3) == f
-    h = Poly(F9, XY, {(1, 0): (0, 1)})  # coefficient t does not contract
-    assert h.contract(F3) is None
+    assert g.terms == {(1, 1): (2, 0), (0, 1): (1, 0)}
 
 
 def test_vars_used_and_degree_in():

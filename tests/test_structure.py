@@ -22,10 +22,10 @@ from fsing.errors import (
     DegreeRangeError,
     FsingError,
     NotSquareFreeSupportedError,
+    TheoremContradictionError,
     ZeroLeadingError,
     ZeroOrConstantError,
 )
-from fsing.structure import _bipartition_factors
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -84,7 +84,6 @@ def test_factorization_frozen_examples():
     assert Q.t == 2
     assert [str(g) for g in Q.factors] == ["x + y", "z + w"]
     assert Q.constant == F2.one
-    assert not Q.used_fallback
     # xy + zw is irreducible
     g = mk(F2, ctx, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1})
     Qg = disjoint_factorization(g)
@@ -170,13 +169,39 @@ def test_factorization_recovers_planted_factors():
         )
 
 
-def test_bipartition_fallback_agrees():
-    ctx = VarCtx(("x", "y", "z", "w"))
-    f = mk(F2, ctx, {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 1): 1})
-    parts = _bipartition_factors(f)
-    assert parts is not None
-    left, right = parts
-    assert left * right == f
+@pytest.mark.parametrize("fld", [build_field(2, 2), build_field(3, 2)], ids=["F4", "F9"])
+def test_factorization_matches_oracle_extension_fields(fld):
+    # products of random pieces on the two sides of a random cut, so that
+    # many inputs split and the coefficients leave the prime subfield
+    rng = random.Random(303 + fld.order)
+    split = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        ctx = VarCtx(tuple(f"x{i}" for i in range(n)))
+        cut = rng.randint(1, n)
+        f = Poly.constant(fld, ctx, 1)
+        for block in (range(cut), range(cut, n)):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                exps = tuple(rng.randint(0, 1) if i in block else 0 for i in range(n))
+                terms[exps] = fld.decode(rng.randrange(1, fld.order))
+            f = f * Poly(fld, ctx, terms)
+        if f.is_constant():
+            continue
+        expect_const, expect_factors = oracle_factorization(f)
+        Q = disjoint_factorization(f)
+        assert Q.constant == expect_const
+        assert Q.factors == expect_factors
+        split += Q.t > 1
+    assert split >= 20
+
+
+def test_reexpansion_failure_raises(monkeypatch):
+    ctx = VarCtx(("x", "y"))
+    f = mk(F2, ctx, {(1, 0): 1, (0, 1): 1})
+    monkeypatch.setattr(CIdeal, "product", lambda self: Poly.constant(self.field, self.vars, 1))
+    with pytest.raises(TheoremContradictionError):
+        disjoint_factorization(f)
 
 
 def test_is_irreducible():
