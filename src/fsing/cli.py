@@ -331,6 +331,12 @@ def _cmd_modify(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_suite(args) -> int:
+    if args.n < 2:
+        raise FsingError(f"--n must be at least 2, got {args.n}")
+    if not 1 <= args.max_factors <= args.n:
+        raise FsingError(
+            f"--max-factors must be between 1 and --n = {args.n}, got {args.max_factors}"
+        )
     extra = ()
     varnames = []
     if args.file:

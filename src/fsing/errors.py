@@ -2,7 +2,9 @@
 
 Plain input mistakes (a composite characteristic, a point off the variety,
 a malformed file) get their own classes so callers and the CLI can map them
-to exit codes.  Internal contract violations use ordinary asserts instead.
+to exit codes.  A failed self-check of a certified result (a re-expansion,
+a re-multiplication, a witness bound) raises TheoremContradictionError, an
+explicit raise rather than an assert so that it survives ``python -O``.
 """
 
 

@@ -1,12 +1,26 @@
 """Frobenius splitting tests, regularity certificates, threshold samples.
 
-Everything here reduces to one kernel: f^(p^e - 1) modulo a bracket
-ideal, computed by :func:`fsing.poly.frobenius_power_mod_bracket`.  For
-an ideal generated by variable-disjoint factors the colon ideal of the
-bracket power is generated by f^(p^e-1) together with the bracket
-itself, so splitting at the origin is the survival of a single reduced
-power, and the localized regularity steps only change which variables
-the bracket reduction may touch.
+Splitting tests and certificates reduce to one kernel: f^(p^e - 1)
+modulo a bracket ideal, computed by
+:func:`fsing.poly.frobenius_power_mod_bracket`.  For an ideal generated
+by variable-disjoint factors the colon ideal of the bracket power is
+generated by f^(p^e-1) together with the bracket itself (Fedder's
+criterion), so splitting at the origin is the survival of a single
+reduced power, and the localized regularity steps only change which
+variables the bracket reduction may touch.
+
+Threshold samples of square-free supported input need that kernel only
+at e = 1 (the digit lemma).  Write q = p^e.  In characteristic p,
+f^(q-1) = prod_{i<e} (f^(p-1))^(p^i), and the i-th factor is f^(p-1)
+with exponents scaled by p^i.  When f is square-free supported every
+exponent of f^(p-1) is at most p-1, so each product monomial
+sum_i p^i a_i (a_i in supp f^(p-1)) is a base-p expansion: distinct
+digit tuples give distinct monomials, so nothing cancels, and no
+exponent reaches q, so nothing hits the bracket.  Hence supp f^(q-1) is
+the digit product of e copies of supp f^(p-1), and its least total
+degree is (q-1)/(p-1) times the least total degree on supp f^(p-1).
+Input that is not square-free supported, such as a shifted polynomial
+in the modification point checks, reduces f^(q-1) itself at every e.
 """
 
 from __future__ import annotations
@@ -22,12 +36,13 @@ from .errors import (
 )
 from .poly import (
     Poly,
+    bracket_exponent,
     canon_key,
     exact_divide,
     frobenius_power_mod_bracket,
     multiply_monomial_truncated,
 )
-from .structure import CIdeal
+from .structure import CIdeal, squarefree_offender
 
 
 @dataclass(frozen=True)
@@ -39,7 +54,11 @@ class SplitWitness:
     witness: tuple
 
     def __post_init__(self):
-        assert all(0 <= v <= self.q - 1 for v in self.witness)
+        if not all(0 <= v <= self.q - 1 for v in self.witness):
+            raise TheoremContradictionError(
+                "split witness has an exponent outside 0..q-1",
+                dump={"e": self.e, "q": self.q, "witness": list(self.witness)},
+            )
 
 
 @dataclass(frozen=True)
@@ -296,23 +315,45 @@ def verify_regularity_certificate(Q: CIdeal, cert: RegCertificate) -> bool:
 # F-pure threshold oracle
 # --------------------------------------------------------------------------
 
+def _threshold_samples(f: Poly, e_list):
+    """Yield the threshold sample of f at each e in e_list, None when unsplit.
+
+    Square-free supported f reduces one f^(p-1) for every e (the digit
+    lemma in the module docstring); other input reduces f^(p^e-1) per e.
+    """
+    if f.is_zero():
+        raise ZeroInputError("threshold sample of the zero polynomial")
+    fld = f.field
+    n = f.vars.n
+    digits = squarefree_offender(f) is None
+    low = None  # least total degree on supp f^(p-1), once a sample needs it
+    for e in e_list:
+        q = bracket_exponent(fld, e)
+        if digits:
+            if low is None:
+                low = min(sum(w) for w in frobenius_power_mod_bracket(f, 1).terms)
+            b = n * (q - 1) - (q - 1) // (fld.p - 1) * low
+        else:
+            reduced = frobenius_power_mod_bracket(f, e)
+            if reduced.is_zero():
+                yield None
+                continue
+            b = max(n * (q - 1) - sum(w) for w in reduced.terms)
+        yield FptSample(e, q, b, Fraction(b, q - 1))
+
+
 def fpt_sample_poly(f: Poly, e: int):
     """Threshold sample of a bare polynomial at q = p^e, or None when unsplit.
 
     b is the largest total degree of a monomial multiplier keeping the
     reduced power outside the bracket ideal: for a surviving monomial w
     the best multiplier fills every exponent up to q-1, so b is the
-    maximal coordinate slack of the survivors.
+    maximal coordinate slack n(q-1) - |w| of the survivors.  For
+    square-free supported f every monomial of f^(q-1) survives, and b is
+    read off f^(p-1) alone as n(q-1) - (q-1)/(p-1) * min |a| over
+    supp f^(p-1), at every e; other input reduces f^(q-1) itself.
     """
-    if f.is_zero():
-        raise ZeroInputError("threshold sample of the zero polynomial")
-    q = f.field.p**e
-    reduced = frobenius_power_mod_bracket(f, e)
-    if reduced.is_zero():
-        return None
-    n = f.vars.n
-    b = max(n * (q - 1) - sum(w) for w in reduced.terms)
-    return FptSample(e, q, b, Fraction(b, q - 1))
+    return next(_threshold_samples(f, (e,)))
 
 
 def fpt_oracle(Q: CIdeal, e: int):

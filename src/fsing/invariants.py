@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import PointNotOnVarietyError, ZeroInputError
 from .field import build_field
-from .frobenius import fpt_oracle
+from .frobenius import _threshold_samples
 from .poly import Poly
 from .structure import CIdeal
 
@@ -138,13 +138,20 @@ def fpt_crosscheck(Q: CIdeal, e_list):
 
     Returns (sample, discrepancy) pairs with exact rational
     discrepancies lam(e) - (n - mult); the closed form predicts zero.
+
+    Q is square-free supported, so every sample comes from one reduced
+    f^(p-1) of f = Q.product() (see :func:`fsing.frobenius.fpt_sample_poly`):
+    the e = 1 sample is measured, and the e >= 2 samples are derived from
+    it by the digit lemma, which makes them a consistency check rather
+    than independent evidence.  The independent check of the e >= 2
+    powers is the full-expansion oracle ``naive_kernel`` in the tests.
     """
     origin = tuple(Q.field.zero for _ in range(Q.vars.n))
     report = dfpt_at(Q, origin)
     expected = Fraction(Q.vars.n - report.mult)
+    e_list = tuple(e_list)
     out = []
-    for e in e_list:
-        sample = fpt_oracle(Q, e)
+    for e, sample in zip(e_list, _threshold_samples(Q.product(), e_list)):
         if sample is None:
             raise ZeroInputError(
                 f"reduced power vanished at e={e}; no threshold sample"

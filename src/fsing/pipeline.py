@@ -20,6 +20,7 @@ from .errors import (
     CertificateSearchExhausted,
     FsingError,
     HypothesisViolatedError,
+    TheoremContradictionError,
 )
 from .field import Field, build_field
 from .frobenius import (
@@ -420,22 +421,33 @@ def modification_build(g: Poly, h: Poly, ell_coeffs, e_max: int = 3, s_max: int 
         if c != fld.zero:
             ell_tilde_terms[tuple(1 if j == i else 0 for j in range(n + 1))] = c
     ell_tilde = Poly(fld, ctx_z, ell_tilde_terms)
-    assert ftilde == _extend(g, ctx_z) * ell_tilde + _extend(h, ctx_z), (
-        "homogenization does not match the linear-form model"
-    )
+    if ftilde != _extend(g, ctx_z) * ell_tilde + _extend(h, ctx_z):
+        raise TheoremContradictionError(
+            "homogenization does not match the linear-form model",
+            dump={"f": str(f), "ftilde": str(ftilde)},
+        )
 
     yname = _fresh_name("y", g.vars.names)
     ctx_y = VarCtx(g.vars.names + (yname,))
     y_poly = Poly.variable(fld, ctx_y, n)
     transformed = _extend(g, ctx_y) * y_poly + _extend(h, ctx_y)
-    assert squarefree_offender(transformed) is None, (
-        "transformed model lost square-free support"
-    )
-    assert is_irreducible_sqfree(transformed), "transformed model is reducible"
+    if squarefree_offender(transformed) is not None:
+        raise TheoremContradictionError(
+            "transformed model lost square-free support",
+            dump={"transformed": str(transformed)},
+        )
+    if not is_irreducible_sqfree(transformed):
+        raise TheoremContradictionError(
+            "transformed model is reducible", dump={"transformed": str(transformed)}
+        )
 
     Qt = CIdeal.from_factors([transformed], check_irreducible=False)
     witness = fedder_fsplit(Qt, 1)
-    assert witness is not None, "transformed model failed the splitting test"
+    if witness is None:
+        raise TheoremContradictionError(
+            "transformed model failed the splitting test",
+            dump={"transformed": str(transformed)},
+        )
     cert = build_regularity_certificate(Qt, e_max)
     verified = verify_regularity_certificate(Qt, cert)
 

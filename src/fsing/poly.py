@@ -26,6 +26,7 @@ from .errors import (
     ContextMismatchError,
     ExponentOverflowError,
     NameCollisionError,
+    TheoremContradictionError,
     ZeroDivisorError,
     ZeroInputError,
 )
@@ -451,7 +452,11 @@ def exact_divide(f: Poly, g: Poly):
                 else:
                     rem[ne] = merged
     q = Poly(fld, f.vars, quo)
-    assert q * g == f, "exact division failed re-multiplication check"
+    if q * g != f:
+        raise TheoremContradictionError(
+            "exact division failed re-multiplication check",
+            dump={"dividend": str(f), "divisor": str(g), "quotient": str(q)},
+        )
     return q
 
 
@@ -495,6 +500,17 @@ def _mul_truncated(fld, a, b, q, free):
     return out
 
 
+def bracket_exponent(fld: Field, e) -> int:
+    """q = p^e for a Frobenius exponent e, which must be a positive integer
+    with p^e inside the supported 16-bit exponent range."""
+    if not isinstance(e, int) or e < 1:
+        raise ValueError(f"Frobenius exponent must be a positive integer, got {e!r}")
+    q = fld.p**e
+    if q >= MAX_CHAR:
+        raise ExponentOverflowError(f"p^e = {q} leaves the supported exponent range")
+    return q
+
+
 def frobenius_power_mod_bracket(f: Poly, e: int, inverted=frozenset()) -> Poly:
     """f^(p^e - 1) reduced modulo the bracket ideal (x_i^(p^e) : i not inverted).
 
@@ -510,12 +526,8 @@ def frobenius_power_mod_bracket(f: Poly, e: int, inverted=frozenset()) -> Poly:
     """
     if f.is_zero():
         raise ZeroInputError("Frobenius power of the zero polynomial")
-    if not isinstance(e, int) or e < 1:
-        raise ValueError(f"Frobenius exponent must be a positive integer, got {e!r}")
     fld = f.field
-    q = fld.p**e
-    if q >= MAX_CHAR:
-        raise ExponentOverflowError(f"p^e = {q} leaves the supported exponent range")
+    q = bracket_exponent(fld, e)
     free = frozenset(inverted)
     base = _truncate(f.terms, q, free)
     acc = {(0,) * f.vars.n: fld.one}

@@ -1,8 +1,11 @@
 """Splitting witnesses, localization certificates, threshold samples."""
 
+import random
 from fractions import Fraction
 
 import pytest
+
+import fsing.frobenius
 
 from conftest import mk, naive_kernel
 from fsing import (
@@ -17,6 +20,7 @@ from fsing import (
     build_field,
     build_regularity_certificate,
     fedder_fsplit,
+    fpt_crosscheck,
     fpt_oracle,
     fpt_sample_poly,
     fsplit_witness,
@@ -25,6 +29,7 @@ from fsing import (
     verify_split_witness,
 )
 from fsing.errors import (
+    ExponentOverflowError,
     MinimalPrimeError,
     TheoremContradictionError,
     ZeroInputError,
@@ -84,7 +89,7 @@ def test_square_is_not_split():
 
 
 def test_witness_respects_exponent_bound():
-    with pytest.raises(AssertionError):
+    with pytest.raises(TheoremContradictionError):
         SplitWitness(1, 2, (2, 0))
 
 
@@ -236,6 +241,68 @@ def test_fpt_sample_zero_and_unsplit():
     with pytest.raises(ZeroInputError):
         fpt_sample_poly(Poly.zero(F2, ctx), 1)
     assert fpt_sample_poly(mk(F2, ctx, {(2,): 1}), 1) is None
+
+
+def _sample_by_definition(f, e):
+    q = f.field.p**e
+    reduced = naive_kernel(f, e)
+    if reduced.is_zero():
+        return None
+    b = max(f.vars.n * (q - 1) - sum(w) for w in reduced.terms)
+    return FptSample(e, q, b, Fraction(b, q - 1))
+
+
+def _random_sqfree_poly(fld, n, rng):
+    """Random square-free supported f on n variables, constant term allowed."""
+    monomials = [tuple((k >> i) & 1 for i in range(n)) for k in range(2**n)]
+    chosen = rng.sample(monomials, rng.randint(1, min(4, len(monomials))))
+    return Poly(fld, VarCtx(f"x{i}" for i in range(n)),
+                {m: fld.decode(rng.randrange(1, fld.order)) for m in chosen})
+
+
+@pytest.mark.parametrize(
+    "p, s, n_max, e",
+    [(2, 1, 4, 2), (3, 1, 4, 2), (2, 2, 4, 2), (3, 2, 4, 2), (5, 1, 3, 2), (2, 1, 4, 3)],
+    ids=["F2", "F3", "F4", "F9", "F5", "F2-e3"],
+)
+def test_fpt_sample_digit_path_matches_full_expansion(p, s, n_max, e):
+    # square-free f: supp f^(q-1) is the digit product of e copies of
+    # supp f^(p-1), so the sample read off f^(p-1) must equal the one
+    # taken from the fully expanded power
+    fld = build_field(p, s)
+    rng = random.Random(1000 * p + 10 * s + e)
+    for _ in range(30):
+        f = _random_sqfree_poly(fld, rng.randint(1, n_max), rng)
+        assert len(naive_kernel(f, e).terms) == len(naive_kernel(f, 1).terms) ** e
+        assert fpt_sample_poly(f, e) == _sample_by_definition(f, e)
+        # x0 * f squares x0 wherever f uses it: the general kernel's path
+        g = f * Poly.variable(fld, f.vars, 0)
+        assert fpt_sample_poly(g, e) == _sample_by_definition(g, e)
+
+
+def test_crosscheck_reduces_only_the_first_power(monkeypatch):
+    kernel = fsing.frobenius.frobenius_power_mod_bracket
+    calls = []
+
+    def recording(f, e, inverted=frozenset()):
+        calls.append(e)
+        return kernel(f, e, inverted)
+
+    monkeypatch.setattr(fsing.frobenius, "frobenius_power_mod_bracket", recording)
+    out = fpt_crosscheck(two_quadrics(), (1, 2, 3))
+    assert calls == [1]
+    assert [sample.e for sample, _ in out] == [1, 2, 3]
+    assert all(diff == 0 for _, diff in out)
+
+
+def test_fpt_sample_exponent_range():
+    # the digit path never builds f^(q-1) but keeps the kernel's range checks
+    x = mk(build_field(257), VarCtx(("x",)), {(1,): 1})
+    assert fpt_sample_poly(x, 1) == FptSample(1, 257, 0, Fraction(0))
+    with pytest.raises(ExponentOverflowError):
+        fpt_sample_poly(x, 2)
+    with pytest.raises(ValueError):
+        fpt_sample_poly(x, 0)
 
 
 def test_fpt_lambda_within_unit_interval_scaled():

@@ -465,19 +465,25 @@ def test_cli_matroid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["check", "{poly}", "--e-max", "0"],
-        ["fpt", "{poly}", "--e-max", "0"],
-        ["matroid", "{matroid}", "--e-max", "0"],
-        ["modify", "{poly}", "--g", "f", "--h", "h", "--e-max", "0"],
-        ["suite", "--count", "1", "--e-max", "0"],
-        ["check", "{poly}", "--seed", "3"],
-        ["matroid", "{bad_matroid}"],
+        (["check", "{poly}", "--e-max", "0"], "--e-max"),
+        (["fpt", "{poly}", "--e-max", "0"], "--e-max"),
+        (["matroid", "{matroid}", "--e-max", "0"], "--e-max"),
+        (["modify", "{poly}", "--g", "f", "--h", "h", "--e-max", "0"], "--e-max"),
+        (["suite", "--count", "1", "--e-max", "0"], "--e-max"),
+        (["check", "{poly}", "--seed", "3"], "--seed"),
+        (["matroid", "{bad_matroid}"], "basis index"),
+        (["suite", "--count", "1", "--n", "1"], "--n"),
+        (["suite", "--count", "1", "--max-factors", "0"], "--max-factors"),
+        (["suite", "--count", "1", "--n", "2", "--max-factors", "3"], "--max-factors"),
     ],
-    ids=["check", "fpt", "matroid", "modify", "suite", "check-seed", "basis-index"],
+    ids=[
+        "check", "fpt", "matroid", "modify", "suite", "check-seed", "basis-index",
+        "suite-n", "suite-max-factors-0", "suite-max-factors-above-n",
+    ],
 )
-def test_cli_usage_errors_exit_2(tmp_path, capsys, argv):
+def test_cli_usage_errors_exit_2(tmp_path, capsys, argv, named):
     files = {
         "poly": "p 2\nvars x y z w\npoly f: x*y + z*w\npoly h: x*y*w + x*z*w\n",
         "matroid": "matroid\nn 3\nbasis 1 2\nbasis 1 3\nbasis 2 3\n",
@@ -491,6 +497,7 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+    assert named in captured.err
 
 
 def test_cli_modify(tmp_path, capsys):
