@@ -29,7 +29,6 @@ from .field import build_field
 from .frobenius import (
     assert_split_or_dump,
     build_regularity_certificate,
-    fpt_oracle,
     fsplit_witness,
     verify_regularity_certificate,
 )
@@ -125,7 +124,7 @@ def _check_poly(field, varctx, name, f, args):
             return entry, status
     if tests in ("all", "certificate"):
         try:
-            cert = build_regularity_certificate(Q, args.e_max)
+            cert = build_regularity_certificate(Q)
         except CertificateSearchExhausted as exc:
             entry["certificate"] = {"search_error": str(exc)}
             return entry, "counterexample"
@@ -295,9 +294,7 @@ def _cmd_modify(args) -> int:
     h = parsed.polys[args.h]
     n = parsed.varctx.n
     coeffs = parse_point(field, args.a, n) if args.a else tuple(field.zero for _ in range(n))
-    result = modification_build(
-        g, h, coeffs, e_max=args.e_max, s_max=args.s_max, max_points=args.max_points
-    )
+    result = modification_build(g, h, coeffs, s_max=args.s_max, max_points=args.max_points)
     status = "pass"
     if not result.verified or any(not c["ok"] for c in result.point_checks):
         status = "counterexample"
@@ -331,6 +328,8 @@ def _cmd_modify(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_suite(args) -> int:
+    if args.count < 1:
+        raise FsingError(f"--count must be at least 1, got {args.count}")
     if args.n < 2:
         raise FsingError(f"--n must be at least 2, got {args.n}")
     if not 1 <= args.max_factors <= args.n:
@@ -350,7 +349,6 @@ def _cmd_suite(args) -> int:
         max_factors=args.max_factors,
         count=args.count,
         seed=args.seed,
-        e_max=args.e_max,
         extra_inputs=extra,
     )
     results, status = theorem_suite(config)
@@ -400,10 +398,8 @@ def _build_parser():
     c.add_argument("--poly", help="restrict to one named polynomial")
     c.add_argument("--tests", choices=("all", "fsplit", "certificate"),
                    default="all", help="which layer of tests to run")
-    c.add_argument("--e-max", type=_positive_int, default=3, dest="e_max",
-                   help="largest Frobenius exponent tried per certificate stage")
     c.add_argument("--s-max", type=int, default=3, dest="s_max",
-                   help="largest extension degree searched for maximizers")
+                   help="largest degree over the coefficient field searched for maximizers")
     c.add_argument("--point", help="comma separated point encodings for invariants")
     c.set_defaults(func=_cmd_check)
 
@@ -426,7 +422,6 @@ def _build_parser():
     mt.add_argument("file")
     mt.add_argument("--p", type=int, default=2, help="characteristic (default 2)")
     mt.add_argument("--tests", choices=("all", "fsplit", "certificate"), default="all")
-    mt.add_argument("--e-max", type=_positive_int, default=3, dest="e_max")
     mt.add_argument("--s-max", type=int, default=2, dest="s_max")
     mt.add_argument("--point", default=None)
     mt.set_defaults(func=_cmd_matroid)
@@ -437,7 +432,6 @@ def _build_parser():
     md.add_argument("--g", required=True, help="name of the divisor polynomial")
     md.add_argument("--h", required=True, help="name of the added form")
     md.add_argument("--a", help="comma separated linear form coefficients")
-    md.add_argument("--e-max", type=_positive_int, default=3, dest="e_max")
     md.add_argument("--s-max", type=int, default=2, dest="s_max")
     md.add_argument("--max-points", type=int, default=20, dest="max_points")
     md.set_defaults(func=_cmd_modify)
@@ -449,7 +443,6 @@ def _build_parser():
     st.add_argument("--n", type=int, default=8)
     st.add_argument("--max-terms", type=int, default=8, dest="max_terms")
     st.add_argument("--max-factors", type=int, default=3, dest="max_factors")
-    st.add_argument("--e-max", type=_positive_int, default=2, dest="e_max")
     st.add_argument("--seed", type=int, default=0,
                     help="seed of the random sample stream (default 0)")
     st.add_argument("--file", help="poly file of extra inputs to include")

@@ -65,10 +65,12 @@ class MinimalPrimeError(FsingError):
 
 
 class CertificateSearchExhausted(FsingError):
-    """No regularity certificate stage was found within the search bounds.
+    """A regularity certificate stage has no witness.
 
-    For square-free supported input this contradicts the supporting theory,
-    so the failure is surfaced loudly instead of being swallowed.
+    The e = 1 witness of a stage exists exactly when its variable does not
+    divide the factor being localized, which holds for every irreducible
+    square-free supported factor; so this means a reducible factor, passed
+    to ``CIdeal.from_factors`` with ``check_irreducible=False``.
     """
 
 

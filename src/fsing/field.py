@@ -85,6 +85,36 @@ def build_field(p: int, s: int = 1) -> "Field":
     return Field(p, s)
 
 
+def level_field(base: "Field", s: int):
+    """Field of level s in a point search over base = F_{p^k}: its degree-s
+    extension F_{p^(k*s)}, or None past the supported degree 4."""
+    degree = base.s * s
+    if degree > 4:
+        return None
+    return build_field(base.p, degree)
+
+
+@functools.lru_cache(maxsize=None)
+def embedding_basis(small: "Field", big: "Field"):
+    """Images in big of the power basis 1, t, ..., t^(k-1) of small = F_{p^k}.
+
+    t goes to the first root of small's modulus in big's encoding order,
+    so a -> sum a_i * image_i is a field embedding.  big must have the same
+    characteristic and a degree divisible by k.
+    """
+    if small.s == 1:
+        return (big.one,)
+
+    def modulus_at(a):  # Horner, leading coefficient first
+        value = big.zero
+        for c in reversed(small.modulus):
+            value = big.add(big.mul(value, a), big.scalar(c))
+        return value
+
+    root = next(a for a in big.elements() if modulus_at(a) == big.zero)
+    return tuple(big.pow(root, i) for i in range(small.s))
+
+
 class Field:
     """Arithmetic context for F_{p^s}; see the module docstring."""
 

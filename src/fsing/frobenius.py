@@ -6,8 +6,20 @@ modulo a bracket ideal, computed by
 by variable-disjoint factors the colon ideal of the bracket power is
 generated by f^(p^e-1) together with the bracket itself (Fedder's
 criterion), so splitting at the origin is the survival of a single
-reduced power, and the localized regularity steps only change which
-variables the bracket reduction may touch.
+reduced power.
+
+Regularity certificates need that kernel only at e = 1 and without
+localization (the stage lemma).  Let f be square-free supported,
+q = p^e, S a set of inverted variables and v not in S.  (a) Every
+exponent of f^(q-1) is at most q-1 (the digit lemma below), so the
+bracket, localized at S or not, discards nothing.  (b) The x_v-free
+part of f^(q-1) is (f|x_v=0)^(q-1), nonzero exactly when x_v does not
+divide f; when f = x_v*A every term carries x_v^(q-1) and dies after
+multiplying by x_v.  So x_v*f^(q-1) has a surviving monomial iff x_v
+does not divide f, whatever e and S are, and a stage that fails at
+e = 1 fails at every e.  (c) The preferred variable of an offending
+irreducible factor never divides f: if it did, the factor would be
+that variable, whose monomial has un-inverted degree 1.
 
 Threshold samples of square-free supported input need that kernel only
 at e = 1 (the digit lemma).  Write q = p^e.  In characteristic p,
@@ -90,19 +102,12 @@ class FptSample:
     lam: Fraction
 
 
-def _split_poly(f: Poly, e: int):
-    reduced = frobenius_power_mod_bracket(f, e)
-    if reduced.is_zero():
-        return None, reduced
-    return min(reduced.terms, key=canon_key), reduced
-
-
 def fsplit_witness(f: Poly, e: int):
     """Splitting witness for a bare hypersurface f, or None when none survives."""
-    witness, _ = _split_poly(f, e)
-    if witness is None:
+    reduced = frobenius_power_mod_bracket(f, e)
+    if reduced.is_zero():
         return None
-    return SplitWitness(e, f.field.p**e, witness)
+    return SplitWitness(e, f.field.p**e, reduced.least_monomial())
 
 
 def fedder_fsplit(Q: CIdeal, e: int):
@@ -121,6 +126,12 @@ def verify_split_witness(Q: CIdeal, w: SplitWitness) -> bool:
     return w.witness in reduced.terms
 
 
+def _shifted_power(f: Poly, e: int, mult) -> Poly:
+    """x^mult * f^(p^e-1) modulo the bracket ideal (x_i^(p^e) : all i)."""
+    reduced = frobenius_power_mod_bracket(f, e)
+    return multiply_monomial_truncated(reduced, mult, f.field.p**e)
+
+
 def glassbrenner_condition(Q: CIdeal, g_exps, e: int):
     """Witness for g * f^(p^e-1) outside the bracket ideal, g a monomial.
 
@@ -131,13 +142,8 @@ def glassbrenner_condition(Q: CIdeal, g_exps, e: int):
     for fac in Q.factors:
         if exact_divide(g_poly, fac) is not None:
             raise MinimalPrimeError(f"multiplier {g_poly} lies in ({fac})")
-    f = Q.product()
-    q = Q.field.p**e
-    reduced = frobenius_power_mod_bracket(f, e)
-    shifted = multiply_monomial_truncated(reduced, tuple(g_exps), q)
-    if shifted.is_zero():
-        return None
-    return min(shifted.terms, key=canon_key)
+    shifted = _shifted_power(Q.product(), e, tuple(g_exps))
+    return None if shifted.is_zero() else shifted.least_monomial()
 
 
 # --------------------------------------------------------------------------
@@ -162,30 +168,30 @@ def _active_product(factors, active):
     return result
 
 
-def _stage_witness(f: Poly, var: int, e: int, inverted):
-    """Surviving monomial of x_var * f^(p^e-1) under the localized bracket."""
-    q = f.field.p**e
-    reduced = frobenius_power_mod_bracket(f, e, inverted=inverted)
-    mult = tuple(1 if i == var else 0 for i in range(f.vars.n))
-    shifted = multiply_monomial_truncated(reduced, mult, q, inverted=inverted)
-    if shifted.is_zero():
-        return None
-    return min(shifted.terms, key=canon_key)
+def _stage_witness(f: Poly, var: int):
+    """First surviving monomial of x_var * f^(p-1) in canonical order, or None.
+
+    By the stage lemma in the module docstring this decides the stage at
+    every e and localization: None means x_var divides f.
+    """
+    shifted = _shifted_power(f, 1, tuple(1 if i == var else 0 for i in range(f.vars.n)))
+    return None if shifted.is_zero() else shifted.least_monomial()
 
 
-def build_regularity_certificate(Q: CIdeal, e_max: int = 3) -> RegCertificate:
+def build_regularity_certificate(Q: CIdeal) -> RegCertificate:
     """Construct a chain of variable inversions ending in unit monomials.
 
     Mirrors an induction on the factor supports: while some factor has
     all support monomials of un-inverted degree two or more, invert one
-    of its variables after exhibiting a surviving localized witness.
-    The base case requires every remaining factor to contain a support
-    monomial whose un-inverted part is a single variable.
+    of its variables after exhibiting a surviving witness.  The base
+    case requires every remaining factor to contain a support monomial
+    whose un-inverted part is a single variable.
 
-    Stage selection is deterministic: the least-index offending factor,
-    its greatest-index un-inverted variable, the smallest e that yields
-    a witness.  When that choice finds no witness up to e_max, every
-    (variable, e) pair is tried in lexicographic order before giving up.
+    Stage selection is deterministic: the least-index offending factor
+    and its greatest-index un-inverted variable, with the witness taken
+    at e = 1.  The stage lemma in the module docstring shows that this
+    witness exists for irreducible factors; a missing one means a
+    reducible factor and raises CertificateSearchExhausted.
     """
     inverted: set = set()
     stages: list = []
@@ -222,35 +228,19 @@ def build_regularity_certificate(Q: CIdeal, e_max: int = 3) -> RegCertificate:
         if offending is None:
             return RegCertificate(stages, base, notes)
         f = _active_product(Q.factors, active)
-        preferred = [
-            v for v in sorted(Q.factors[offending].vars_used()) if v not in inverted
-        ]
-        found = None
-        if preferred:
-            var = preferred[-1]
-            for e in range(1, e_max + 1):
-                witness = _stage_witness(f, var, e, frozenset(inverted))
-                if witness is not None:
-                    found = (var, e, witness)
-                    break
-        if found is None:
-            candidates = sorted(f.vars_used() - inverted)
-            for var in candidates:
-                for e in range(1, e_max + 1):
-                    witness = _stage_witness(f, var, e, frozenset(inverted))
-                    if witness is not None:
-                        found = (var, e, witness)
-                        break
-                if found:
-                    break
-        if found is None:
+        g = Q.factors[offending]
+        # an offending factor has no monomial of un-inverted degree 0 or 1,
+        # so it has an un-inverted variable
+        var = max(v for v in g.vars_used() if v not in inverted)
+        witness = _stage_witness(f, var)
+        if witness is None:
             raise CertificateSearchExhausted(
-                f"no localized witness up to e_max={e_max} for {f}; "
-                "for square-free supported input this contradicts the theory"
+                f"{Q.vars.names[var]} divides the factor {g}, so no stage witness "
+                "exists; the factor is reducible, which only "
+                "CIdeal.from_factors(..., check_irreducible=False) admits"
             )
-        var, e, witness = found
         mult = tuple(1 if i == var else 0 for i in range(Q.vars.n))
-        stages.append(RegStage(var, e, mult, witness))
+        stages.append(RegStage(var, 1, mult, witness))
         inverted.add(var)
 
 
@@ -279,11 +269,9 @@ def _verify_explain(Q: CIdeal, cert: RegCertificate):
             v > q - 1 for i, v in enumerate(stage.witness) if i not in inverted
         ):
             return False, f"stage {k}: witness has an un-inverted exponent >= p^e"
+        # the plain bracket equals the localized one here (stage lemma)
         f = _active_product(Q.factors, active)
-        reduced = frobenius_power_mod_bracket(f, stage.e, inverted=frozenset(inverted))
-        shifted = multiply_monomial_truncated(
-            reduced, tuple(stage.multiplier), q, inverted=frozenset(inverted)
-        )
+        shifted = _shifted_power(f, stage.e, tuple(stage.multiplier))
         if tuple(stage.witness) not in shifted.terms:
             return False, f"stage {k}: witness does not survive the reduction"
         inverted.add(stage.inverted_var)

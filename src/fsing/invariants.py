@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PointNotOnVarietyError, ZeroInputError
-from .field import build_field
+from .field import level_field
 from .frobenius import _threshold_samples
 from .poly import Poly
 from .structure import CIdeal
@@ -74,47 +74,36 @@ def dfpt_at(Q: CIdeal, point) -> InvariantReport:
     )
 
 
-def _points_on_variety(Q: CIdeal, s: int):
-    """Rational points of V(Q) over F_{p^s}, in deterministic grid order."""
-    if s == 1:
-        big = Q.field
-        factors = Q.factors
-    else:
-        big = build_field(Q.field.p, s)
-        factors = [g.embed(big) for g in Q.factors]
-    n = Q.vars.n
-    order = big.order
-    for index in range(order**n):
-        point = tuple(big.decode((index // order**i) % order) for i in range(n))
-        if all(g.evaluate(point) == big.zero for g in factors):
-            yield point, factors, big
-
-
 def global_invariants(Q: CIdeal, s_max: int = 3, budget: int = SEARCH_BUDGET):
     """Maximize the multiplicity over rational points of bounded height.
 
-    Searches the origin plus every point of V(Q) with coordinates in
-    F_{p^s} for s <= s_max, skipping any level whose full grid exceeds
-    the budget.  The report is exact when every factor is homogeneous
-    (the maximum then sits at the origin); otherwise it is a lower
-    bound over the searched set.
+    Searches the origin plus every point of V(Q), in grid order, with
+    coordinates in the degree-s extension of the coefficient field for
+    s <= s_max (:func:`fsing.field.level_field`), skipping any level whose
+    full grid exceeds the budget or whose degree leaves the supported
+    range.  The report is exact when every factor is homogeneous (the
+    maximum then sits at the origin); otherwise it is a lower bound over
+    the searched set.
     """
     best = None
     budget_exceeded = False
-    origin = tuple(Q.field.zero for _ in range(Q.vars.n))
+    n, t = Q.vars.n, Q.t
+    origin = tuple(Q.field.zero for _ in range(n))
     if all(g.evaluate(origin) == Q.field.zero for g in Q.factors):
         best = dfpt_at(Q, origin)
     for s in range(1, s_max + 1):
-        grid = (Q.field.p**s) ** Q.vars.n
-        if grid > budget:
+        big = level_field(Q.field, s)
+        if big is None or big.order**n > budget:
             budget_exceeded = True
             continue
-        for point, factors, big in _points_on_variety(Q, s):
-            orders = [g.shift(point).order_and_initial()[0] for g in factors]
-            mult = sum(orders)
+        factors = [g.embed(big) for g in Q.factors]
+        order = big.order
+        for index in range(order**n):
+            point = tuple(big.decode((index // order**i) % order) for i in range(n))
+            if any(g.evaluate(point) != big.zero for g in factors):
+                continue
+            mult = sum(g.shift(point).order_and_initial()[0] for g in factors)
             if best is None or mult > best.mult:
-                t = Q.t
-                n = Q.vars.n
                 best = InvariantReport(
                     point=point,
                     ord=mult,

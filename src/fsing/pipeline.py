@@ -22,7 +22,7 @@ from .errors import (
     HypothesisViolatedError,
     TheoremContradictionError,
 )
-from .field import Field, build_field
+from .field import Field, build_field, level_field
 from .frobenius import (
     build_regularity_certificate,
     fedder_fsplit,
@@ -106,7 +106,7 @@ def random_sqfree(field: Field, n: int, max_terms: int, t: int, seed: int = 0) -
 # one-sample verification chain
 # --------------------------------------------------------------------------
 
-def check_sqfree_sample(f: Poly, t_planted=None, e_max: int = 2, fpt_es=(1, 2)) -> dict:
+def check_sqfree_sample(f: Poly, t_planted=None) -> dict:
     """Run the full chain on one square-free supported polynomial.
 
     Returns a record with ok/failure plus the artifacts produced along
@@ -133,7 +133,7 @@ def check_sqfree_sample(f: Poly, t_planted=None, e_max: int = 2, fpt_es=(1, 2)) 
         return fail("no splitting witness at e=1")
     rec["witness"] = Q.vars.monomial_str(w.witness)
     try:
-        cert = build_regularity_certificate(Q, e_max)
+        cert = build_regularity_certificate(Q)
     except CertificateSearchExhausted as exc:
         return fail(f"certificate search exhausted: {exc}")
     if not verify_regularity_certificate(Q, cert):
@@ -150,7 +150,7 @@ def check_sqfree_sample(f: Poly, t_planted=None, e_max: int = 2, fpt_es=(1, 2)) 
         if rep.dfpt < 0:
             return fail("negative defect")
         try:
-            cc = fpt_crosscheck(Q, fpt_es)
+            cc = fpt_crosscheck(Q, (1, 2))
         except FsingError as exc:
             return fail(f"threshold oracle failure: {exc}")
         rec["lambda"] = [
@@ -161,13 +161,13 @@ def check_sqfree_sample(f: Poly, t_planted=None, e_max: int = 2, fpt_es=(1, 2)) 
     return rec
 
 
-def minimize_failure(f: Poly, e_max: int = 2, fpt_es=(1, 2)) -> Poly:
+def minimize_failure(f: Poly) -> Poly:
     """Greedy single-removal shrink preserving some pipeline failure."""
 
     def still_fails(g):
         if g.is_zero() or g.is_constant() or squarefree_offender(g) is not None:
             return False
-        return not check_sqfree_sample(g, None, e_max, fpt_es)["ok"]
+        return not check_sqfree_sample(g)["ok"]
 
     cur = f
     changed = True
@@ -204,8 +204,6 @@ class SuiteConfig:
     max_factors: int = 3
     count: int = 200
     seed: int = 0
-    e_max: int = 2
-    fpt_es: tuple = (1, 2)
     extra_inputs: tuple = ()  # Poly instances validated before use
 
     def as_dict(self):
@@ -216,8 +214,6 @@ class SuiteConfig:
             "max_factors": self.max_factors,
             "count": self.count,
             "seed": self.seed,
-            "e_max": self.e_max,
-            "fpt_es": list(self.fpt_es),
         }
 
 
@@ -244,11 +240,11 @@ def theorem_suite(config: SuiteConfig):
                 }
             )
             continue
-        rec = check_sqfree_sample(extra, None, config.e_max, config.fpt_es)
+        rec = check_sqfree_sample(extra)
         rec["index"] = f"extra-{k}"
         samples.append(rec)
         if not rec["ok"]:
-            mini = minimize_failure(extra, config.e_max, config.fpt_es)
+            mini = minimize_failure(extra)
             failures.append(
                 {"index": rec["index"], "failure": rec["failure"], "minimized": str(mini)}
             )
@@ -259,13 +255,13 @@ def theorem_suite(config: SuiteConfig):
         n_i = rng.randint(max(t, 2), config.n)
         field = build_field(p)
         f = random_sqfree(field, n_i, config.max_terms, t, seed=rng.randrange(2**30))
-        rec = check_sqfree_sample(f, t, config.e_max, config.fpt_es)
+        rec = check_sqfree_sample(f, t)
         rec["index"] = i
         rec["p"] = p
         rec["n"] = n_i
         samples.append(rec)
         if not rec["ok"]:
-            mini = minimize_failure(f, config.e_max, config.fpt_es)
+            mini = minimize_failure(f)
             failures.append(
                 {"index": i, "failure": rec["failure"], "poly": str(f), "minimized": str(mini)}
             )
@@ -324,32 +320,40 @@ def hypersurface_point_checks(
 ):
     """Search V(f) over small extensions; check lam(e) = n - ord pointwise.
 
+    Level s is the degree-s extension of the coefficient field
+    (:func:`fsing.field.level_field`); it skips the points of earlier
+    levels, those with every coordinate in one proper subfield.
+
     Returns (max multiplicity seen, list of per-point check records,
     budget flag).  The threshold identity is exact for every point by
     the supporting theory, so each record carries an ok bit instead of
     a tolerance.
     """
     n = f.vars.n
+    base = f.field
     best = 0
     checks = []
-    seen = set()
     budget_exceeded = False
     for s in range(1, s_max + 1):
-        grid = (f.field.p**s) ** n
-        if grid > budget:
+        big = level_field(base, s)
+        if big is None or big.order**n > budget:
             budget_exceeded = True
             continue
-        big = f.field if s == 1 else build_field(f.field.p, s)
         fe = f.embed(big)
         order = big.order
-        for index in range(grid):
+        # earlier levels d | s, d < s, are the subfields fixed by a -> a^(p^(k*d))
+        subfields = [
+            {a for a in big.elements() if big.pow(a, base.order**d) == a}
+            for d in range(1, s)
+            if s % d == 0
+        ]
+        for index in range(order**n):
             point = tuple(big.decode((index // order**i) % order) for i in range(n))
-            key = tuple(big.encode(a) for a in point)
-            if key in seen:
+            if any(all(a in sub for a in point) for sub in subfields):
                 continue
             if fe.evaluate(point) != big.zero:
                 continue
-            seen.add(key)
+            key = tuple(big.encode(a) for a in point)
             shifted = fe.shift(point)
             ordv = shifted.order_and_initial()[0]
             best = max(best, ordv)
@@ -367,7 +371,7 @@ def hypersurface_point_checks(
     return best, checks, budget_exceeded
 
 
-def modification_build(g: Poly, h: Poly, ell_coeffs, e_max: int = 3, s_max: int = 2,
+def modification_build(g: Poly, h: Poly, ell_coeffs, s_max: int = 2,
                        max_points: int = 20) -> ModificationResult:
     """Build f = g*(1 + sum a_i x_i) + h and certify its singularity data.
 
@@ -448,7 +452,7 @@ def modification_build(g: Poly, h: Poly, ell_coeffs, e_max: int = 3, s_max: int 
             "transformed model failed the splitting test",
             dump={"transformed": str(transformed)},
         )
-    cert = build_regularity_certificate(Qt, e_max)
+    cert = build_regularity_certificate(Qt)
     verified = verify_regularity_certificate(Qt, cert)
 
     max_mult, checks, flagged = hypersurface_point_checks(

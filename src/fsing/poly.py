@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import reduce
 
 from .errors import (
     ContextMismatchError,
@@ -30,7 +31,7 @@ from .errors import (
     ZeroDivisorError,
     ZeroInputError,
 )
-from .field import MAX_CHAR, Field
+from .field import MAX_CHAR, Field, embedding_basis
 
 Monomial = tuple  # exponent vector, one entry per variable
 
@@ -378,13 +379,21 @@ class Poly:
         return ordv, Poly(self.field, self.vars, init)
 
     def embed(self, big: Field) -> "Poly":
-        """Reinterpret a prime-field polynomial over an extension of the same p."""
-        if big == self.field:
+        """Reinterpret the polynomial over an extension big of its field.
+
+        t of F_{p^k} goes to the first root of its modulus in big's
+        encoding order (:func:`fsing.field.embedding_basis`).
+        """
+        small = self.field
+        if big == small:
             return self
-        if self.field.s != 1 or big.p != self.field.p:
-            raise ContextMismatchError("embedding is supported from the prime field only")
-        pad = (0,) * (big.s - 1)
-        return Poly(big, self.vars, {e: (c[0],) + pad for e, c in self.terms.items()})
+        if big.p != small.p or big.s % small.s:
+            raise ContextMismatchError(f"{big!r} is not an extension of {small!r}")
+        basis = embedding_basis(small, big)
+        return Poly(big, self.vars, {
+            e: reduce(big.add, map(big.mul, map(big.scalar, c), basis))
+            for e, c in self.terms.items()
+        })
 
     # -- formatting --------------------------------------------------------
 
@@ -464,17 +473,7 @@ def exact_divide(f: Poly, g: Poly):
 # Frobenius kernel
 # --------------------------------------------------------------------------
 
-def _truncate(terms, q, free):
-    if free:
-        return {
-            e: c
-            for e, c in terms.items()
-            if all(v < q for i, v in enumerate(e) if i not in free)
-        }
-    return {e: c for e, c in terms.items() if all(v < q for v in e)}
-
-
-def _mul_truncated(fld, a, b, q, free):
+def _mul_truncated(fld, a, b, q):
     mul, add, zero = fld.mul, fld.add, fld.zero
     if len(a) > len(b):
         a, b = b, a
@@ -482,10 +481,7 @@ def _mul_truncated(fld, a, b, q, free):
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(map(operator.add, ea, eb))
-            if free:
-                if any(v >= q for i, v in enumerate(e) if i not in free):
-                    continue
-            elif any(v >= q for v in e):
+            if any(v >= q for v in e):
                 continue
             c = mul(ca, cb)
             cur = out.get(e)
@@ -511,54 +507,47 @@ def bracket_exponent(fld: Field, e) -> int:
     return q
 
 
-def frobenius_power_mod_bracket(f: Poly, e: int, inverted=frozenset()) -> Poly:
-    """f^(p^e - 1) reduced modulo the bracket ideal (x_i^(p^e) : i not inverted).
+def frobenius_power_mod_bracket(f: Poly, e: int) -> Poly:
+    """f^(p^e - 1) reduced modulo the bracket ideal (x_i^(p^e) : all i).
 
     Computed through the factorization
     f^(p^e-1) = prod_{i<e} (f^(p-1)) with exponents scaled by p^i and
-    coefficients pushed through i Frobenius twists.  Monomials whose
-    exponent on a non-inverted variable reaches p^e are discarded during
-    every intermediate product; exponents only grow under multiplication,
-    so this loses nothing from the final reduced result.
+    coefficients pushed through i Frobenius twists.  Monomials with an
+    exponent reaching p^e are discarded during every intermediate
+    product; exponents only grow under multiplication, so this loses
+    nothing from the final reduced result.
 
-    Variables listed in ``inverted`` are exempt from the reduction, which
-    models working over the localization where they are units.
+    For square-free supported f no term reaches the bracket, localized or
+    not (the digit lemma in :mod:`fsing.frobenius`); the truncation
+    matters only for input that is not square-free supported.
     """
     if f.is_zero():
         raise ZeroInputError("Frobenius power of the zero polynomial")
     fld = f.field
     q = bracket_exponent(fld, e)
-    free = frozenset(inverted)
-    base = _truncate(f.terms, q, free)
+    base = {exps: c for exps, c in f.terms.items() if all(v < q for v in exps)}
     acc = {(0,) * f.vars.n: fld.one}
     for _ in range(fld.p - 1):
-        acc = _mul_truncated(fld, acc, base, q, free)
+        acc = _mul_truncated(fld, acc, base, q)
     result = acc
     for i in range(1, e):
         scale = fld.p**i
         twisted = {}
         for exps, c in acc.items():
             ne = tuple(v * scale for v in exps)
-            if free:
-                if any(v >= q for j, v in enumerate(ne) if j not in free):
-                    continue
-            elif any(v >= q for v in ne):
+            if any(v >= q for v in ne):
                 continue
             twisted[ne] = fld.pow(c, scale)
-        result = _mul_truncated(fld, result, twisted, q, free)
+        result = _mul_truncated(fld, result, twisted, q)
     return Poly(fld, f.vars, result)
 
 
-def multiply_monomial_truncated(f: Poly, exps, q, inverted=frozenset()) -> Poly:
+def multiply_monomial_truncated(f: Poly, exps, q) -> Poly:
     """f times the monomial x^exps, discarding terms hitting the bracket."""
-    free = frozenset(inverted)
     out = {}
     for e, c in f.terms.items():
         ne = tuple(map(operator.add, e, exps))
-        if free:
-            if any(v >= q for i, v in enumerate(ne) if i not in free):
-                continue
-        elif any(v >= q for v in ne):
+        if any(v >= q for v in ne):
             continue
         out[ne] = c
     return Poly(f.field, f.vars, out)

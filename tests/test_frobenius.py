@@ -23,12 +23,15 @@ from fsing import (
     fpt_crosscheck,
     fpt_oracle,
     fpt_sample_poly,
+    frobenius_power_mod_bracket,
     fsplit_witness,
     glassbrenner_condition,
+    multiply_monomial_truncated,
     verify_regularity_certificate,
     verify_split_witness,
 )
 from fsing.errors import (
+    CertificateSearchExhausted,
     ExponentOverflowError,
     MinimalPrimeError,
     TheoremContradictionError,
@@ -129,7 +132,7 @@ def test_glassbrenner_minimal_prime_guard():
 
 def test_certificate_quadric_frozen():
     Q = quadric_ideal()
-    cert = build_regularity_certificate(Q, 3)
+    cert = build_regularity_certificate(Q)
     assert cert.stages == [RegStage(3, 1, (0, 0, 0, 1), (1, 1, 0, 1))]
     assert cert.base == [(0, (0, 0, 1, 1))]
     assert cert.notes == []
@@ -138,7 +141,7 @@ def test_certificate_quadric_frozen():
 
 def test_certificate_two_factors_frozen():
     Q = two_quadrics()
-    cert = build_regularity_certificate(Q, 3)
+    cert = build_regularity_certificate(Q)
     assert [ (st.inverted_var, st.e) for st in cert.stages ] == [(3, 1), (7, 1)]
     assert cert.stages[0].witness == (1, 1, 0, 1, 1, 1, 0, 0)
     assert cert.stages[1].witness == (1, 1, 0, 0, 1, 1, 0, 1)
@@ -149,32 +152,43 @@ def test_certificate_two_factors_frozen():
 def test_certificate_base_case_only():
     ctx = VarCtx(("x", "y", "z"))
     Q = CIdeal.from_factors([mk(F2, ctx, {(1, 0, 0): 1, (0, 1, 1): 1})])
-    cert = build_regularity_certificate(Q, 3)
+    cert = build_regularity_certificate(Q)
     assert cert.stages == []
     assert cert.base == [(0, (1, 0, 0))]
     assert verify_regularity_certificate(Q, cert)
     Qvar = CIdeal.from_factors([mk(F2, ctx, {(1, 0, 0): 1})])
-    cvar = build_regularity_certificate(Qvar, 3)
+    cvar = build_regularity_certificate(Qvar)
     assert cvar.stages == [] and cvar.base == [(0, (1, 0, 0))]
     assert verify_regularity_certificate(Qvar, cvar)
 
 
 def test_certificate_deterministic():
     Q = two_quadrics()
-    assert build_regularity_certificate(Q, 3) == build_regularity_certificate(Q, 3)
+    assert build_regularity_certificate(Q) == build_regularity_certificate(Q)
 
 
 def test_certificate_char3_and_char5():
     for p in (3, 5):
         fld = build_field(p)
         Q = CIdeal.from_factors([quadric(fld)])
-        cert = build_regularity_certificate(Q, 2)
+        cert = build_regularity_certificate(Q)
         assert verify_regularity_certificate(Q, cert)
+
+
+def test_certificate_of_reducible_factor_raises():
+    # z*(x + y) passes as one factor only without the irreducibility check;
+    # its preferred variable z divides it, so no stage witness exists
+    ctx = VarCtx(("x", "y", "z"))
+    Q = CIdeal.from_factors(
+        [mk(F2, ctx, {(1, 0, 1): 1, (0, 1, 1): 1})], check_irreducible=False
+    )
+    with pytest.raises(CertificateSearchExhausted, match="reducible"):
+        build_regularity_certificate(Q)
 
 
 def test_corrupted_certificates_fail():
     Q = quadric_ideal()
-    good = build_regularity_certificate(Q, 3)
+    good = build_regularity_certificate(Q)
 
     wrong_mult = RegCertificate(
         [RegStage(3, 1, (0, 0, 1, 0), (1, 1, 0, 1))], list(good.base)
@@ -284,9 +298,9 @@ def test_crosscheck_reduces_only_the_first_power(monkeypatch):
     kernel = fsing.frobenius.frobenius_power_mod_bracket
     calls = []
 
-    def recording(f, e, inverted=frozenset()):
+    def recording(f, e):
         calls.append(e)
-        return kernel(f, e, inverted)
+        return kernel(f, e)
 
     monkeypatch.setattr(fsing.frobenius, "frobenius_power_mod_bracket", recording)
     out = fpt_crosscheck(two_quadrics(), (1, 2, 3))
@@ -342,3 +356,40 @@ def test_stage_witness_against_naive_localization():
         if all(v < 2 for i, v in enumerate(e) if i != 3)
     }
     assert (1, 1, 0, 1) in kept
+
+
+@pytest.mark.parametrize(
+    "p, s, n_max, cases",
+    [(2, 1, 4, 60), (3, 1, 4, 40), (2, 2, 3, 40), (3, 2, 3, 20), (5, 1, 3, 20)],
+    ids=["F2", "F3", "F4", "F9", "F5"],
+)
+def test_stage_lemma_against_localized_oracle(p, s, n_max, cases):
+    # x_v * f^(q-1) under the bracket localized at S (the oracle keeps
+    # inverted exponents) survives iff x_v does not divide f, and equals the
+    # plain kernel's product, so certificate stages need neither e >= 2 nor
+    # a localized kernel
+    fld = build_field(p, s)
+    rng = random.Random(100 * p + s)
+    outcomes = set()
+    for e in (1, 2):
+        q = p**e
+        for _ in range(cases):
+            n = rng.randint(1, n_max)
+            f = _random_sqfree_poly(fld, n, rng)
+            inverted = frozenset(i for i in range(n) if rng.random() < 0.4)
+            v = rng.choice([i for i in range(n) if i not in inverted] or [n - 1])
+            inverted -= {v}
+            x_v = Poly.variable(fld, f.vars, v)
+            local = naive_kernel(f, e, inverted) * x_v
+            local = Poly(fld, f.vars, {
+                w: c for w, c in local.terms.items()
+                if all(k < q for i, k in enumerate(w) if i not in inverted)
+            })
+            divides = all(w[v] for w in f.terms)
+            assert local.is_zero() == divides
+            mult = tuple(1 if i == v else 0 for i in range(n))
+            assert local == multiply_monomial_truncated(
+                frobenius_power_mod_bracket(f, e), mult, q
+            )
+            outcomes.add(divides)
+    assert outcomes == {True, False}

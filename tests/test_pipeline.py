@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -256,7 +257,7 @@ def test_minimizer_no_failure_returns_input():
 def test_minimizer_shrinks_with_fake_predicate(monkeypatch):
     import fsing.pipeline as pl
 
-    def fake_check(f, t_planted=None, e_max=2, fpt_es=(1, 2)):
+    def fake_check(f, t_planted=None):
         return {"ok": len(f.terms) <= 3, "failure": None}
 
     monkeypatch.setattr(pl, "check_sqfree_sample", fake_check)
@@ -386,6 +387,24 @@ def test_point_checks_direct():
     assert not flagged
 
 
+def test_point_checks_walk_each_level_once():
+    # over F_8 a coordinate encoding means a different element than over F_4,
+    # so level 3 skips exactly the points with every coordinate in F_2
+    ctx = VarCtx(("x", "y", "z"))
+    f = mk(F2, ctx, {(1, 1, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 0, 0): 1, (0, 1, 0): 1})
+    best, checks, flagged = hypersurface_point_checks(f, s_max=3, max_points=10**3)
+    assert not flagged and all(c["ok"] for c in checks)
+    by_level = {s: {tuple(c["point"]) for c in checks if c["s"] == s} for s in (1, 2, 3)}
+    assert {(2, 0, 1), (3, 0, 1), (0, 2, 1), (0, 3, 1), (0, 0, 2)} <= by_level[3]
+    F8 = build_field(2, 3)
+    on_f8 = [
+        pt for pt in product(range(8), repeat=3)
+        if f.embed(F8).evaluate(tuple(F8.decode(a) for a in pt)) == F8.zero
+    ]
+    assert by_level[3] == {pt for pt in on_f8 if max(pt) > 1}
+    assert len(by_level[1]) == 4 and len(by_level[2]) == 12
+
+
 # --------------------------------------------------------------------------
 # command line interface
 # --------------------------------------------------------------------------
@@ -405,6 +424,16 @@ def test_cli_check_pass(poly_file, capsys):
     assert names == ["f", "g"]
     cert = report["results"]["polys"][0]["certificate"]
     assert cert["verified"] is True
+
+
+def test_cli_check_off_origin_extension_field(tmp_path, capsys):
+    # the origin misses 1 + z*w, so the maximizer search embeds F_4 into F_16
+    path = tmp_path / "ext.poly"
+    path.write_text("p 2\next 2\nvars x y z w\npoly f: x*z*w + x + y*z*w + y\n")
+    assert main(["check", str(path)]) == 0
+    entry = json.loads(capsys.readouterr().out)["results"]["polys"][0]
+    assert entry["note"] == "origin not on the variety; searched for a maximizer"
+    assert entry["invariants"]["budget_exceeded"] is True  # level 3 is F_64
 
 
 def test_cli_check_single_poly(poly_file, capsys):
@@ -467,20 +496,22 @@ def test_cli_matroid(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["check", "{poly}", "--e-max", "0"], "--e-max"),
+        (["check", "{poly}", "--e-max", "0"], "unrecognized arguments"),
         (["fpt", "{poly}", "--e-max", "0"], "--e-max"),
-        (["matroid", "{matroid}", "--e-max", "0"], "--e-max"),
-        (["modify", "{poly}", "--g", "f", "--h", "h", "--e-max", "0"], "--e-max"),
-        (["suite", "--count", "1", "--e-max", "0"], "--e-max"),
+        (["matroid", "{matroid}", "--e-max", "0"], "unrecognized arguments"),
+        (["modify", "{poly}", "--g", "f", "--h", "h", "--e-max", "0"],
+         "unrecognized arguments"),
+        (["suite", "--count", "1", "--e-max", "0"], "unrecognized arguments"),
         (["check", "{poly}", "--seed", "3"], "--seed"),
         (["matroid", "{bad_matroid}"], "basis index"),
         (["suite", "--count", "1", "--n", "1"], "--n"),
         (["suite", "--count", "1", "--max-factors", "0"], "--max-factors"),
         (["suite", "--count", "1", "--n", "2", "--max-factors", "3"], "--max-factors"),
+        (["suite", "--count", "-1"], "--count"),
     ],
     ids=[
         "check", "fpt", "matroid", "modify", "suite", "check-seed", "basis-index",
-        "suite-n", "suite-max-factors-0", "suite-max-factors-above-n",
+        "suite-n", "suite-max-factors-0", "suite-max-factors-above-n", "suite-count",
     ],
 )
 def test_cli_usage_errors_exit_2(tmp_path, capsys, argv, named):
