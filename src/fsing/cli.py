@@ -368,7 +368,7 @@ def _cmd_suite(args) -> int:
 # --------------------------------------------------------------------------
 
 def _positive_int(text):
-    """argparse type for Frobenius exponents: an integer of at least 1."""
+    """argparse type for exponents, levels and point budgets: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -398,7 +398,7 @@ def _build_parser():
     c.add_argument("--poly", help="restrict to one named polynomial")
     c.add_argument("--tests", choices=("all", "fsplit", "certificate"),
                    default="all", help="which layer of tests to run")
-    c.add_argument("--s-max", type=int, default=3, dest="s_max",
+    c.add_argument("--s-max", type=_positive_int, default=3, dest="s_max",
                    help="largest degree over the coefficient field searched for maximizers")
     c.add_argument("--point", help="comma separated point encodings for invariants")
     c.set_defaults(func=_cmd_check)
@@ -422,7 +422,7 @@ def _build_parser():
     mt.add_argument("file")
     mt.add_argument("--p", type=int, default=2, help="characteristic (default 2)")
     mt.add_argument("--tests", choices=("all", "fsplit", "certificate"), default="all")
-    mt.add_argument("--s-max", type=int, default=2, dest="s_max")
+    mt.add_argument("--s-max", type=_positive_int, default=2, dest="s_max")
     mt.add_argument("--point", default=None)
     mt.set_defaults(func=_cmd_matroid)
 
@@ -432,8 +432,8 @@ def _build_parser():
     md.add_argument("--g", required=True, help="name of the divisor polynomial")
     md.add_argument("--h", required=True, help="name of the added form")
     md.add_argument("--a", help="comma separated linear form coefficients")
-    md.add_argument("--s-max", type=int, default=2, dest="s_max")
-    md.add_argument("--max-points", type=int, default=20, dest="max_points")
+    md.add_argument("--s-max", type=_positive_int, default=2, dest="s_max")
+    md.add_argument("--max-points", type=_positive_int, default=20, dest="max_points")
     md.set_defaults(func=_cmd_modify)
 
     st = sub.add_parser("suite", parents=[common],

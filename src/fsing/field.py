@@ -12,6 +12,14 @@ irreducible polynomial of degree s when monic candidates are enumerated
 by their coefficient sequence, higher-degree coefficients most
 significant.  Irreducibility is certified by trial division against
 every monic polynomial of degree at most s/2.
+
+Elements stay tuples throughout, but for s > 1 and p^s <= 2^16 the
+multiplicative operations (mul, pow, inv) go through log/antilog tables
+over the powers of a fixed generator, filled once at construction by
+multiplying out polynomials modulo the modulus; larger extensions keep
+that polynomial multiplication per call.  Prime fields use direct
+modular arithmetic, and addition is coordinate-wise everywhere.  A tuple
+that is not a reduced element of the field raises FieldMismatchError.
 """
 
 from __future__ import annotations
@@ -33,6 +41,18 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _prime_divisors(n: int):
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            yield d
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        yield n
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +138,7 @@ def embedding_basis(small: "Field", big: "Field"):
 class Field:
     """Arithmetic context for F_{p^s}; see the module docstring."""
 
-    __slots__ = ("p", "s", "modulus", "zero", "one", "_reduction")
+    __slots__ = ("p", "s", "order", "modulus", "zero", "one", "_reduction", "_exp", "_log")
 
     def __init__(self, p: int, s: int = 1):
         if not isinstance(p, int) or not is_prime(p) or p >= MAX_CHAR:
@@ -127,10 +147,14 @@ class Field:
             raise DegreeRangeError(f"extension degree must lie in 1..4, got {s!r}")
         self.p = p
         self.s = s
+        self.order = p**s
         self.modulus = None if s == 1 else _smallest_irreducible(p, s)
         self.zero = (0,) * s
         self.one = (1,) + (0,) * (s - 1)
         self._reduction = self._build_reduction() if s > 1 else None
+        self._exp = self._log = None
+        if s > 1 and self.order <= MAX_CHAR:
+            self._build_tables()
 
     def _build_reduction(self):
         # coordinates of t^k for k in s..2s-2
@@ -146,6 +170,26 @@ class Field:
             rows.append(tuple(cur))
         return rows
 
+    def _build_tables(self):
+        # g is the first element in decode order with g^((q-1)/r) != 1 for
+        # every prime r | q - 1, a generator of the multiplicative group
+        # (pow still runs by repeated squaring here).  _exp lists g^0 ..
+        # g^(q-2) twice, so mul indexes it by a sum of two logarithms
+        # without a modulo; zero's logarithm is -q, which keeps every sum
+        # with it negative.
+        q = self.order
+        cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
+        g = next(
+            a for a in map(self.decode, range(1, q))
+            if all(self.pow(a, c) != self.one for c in cofactors)
+        )
+        powers = [self.one]
+        for _ in range(q - 2):
+            powers.append(self._convolve(powers[-1], g))
+        self._exp = powers + powers
+        self._log = {a: k for k, a in enumerate(powers)}
+        self._log[self.zero] = -q
+
     # -- element construction ------------------------------------------
 
     def scalar(self, value: int):
@@ -159,10 +203,6 @@ class Field:
         if any(not 0 <= c < self.p for c in coords):
             raise FieldMismatchError("coordinates must be reduced residues")
         return coords
-
-    @property
-    def order(self) -> int:
-        return self.p**self.s
 
     def decode(self, index: int):
         """Element with the given base-p digit encoding, 0 <= index < p^s."""
@@ -197,10 +237,23 @@ class Field:
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
-        self._check(a, b)
+        if self.s == 1:
+            self._check(a, b)
+            return ((a[0] * b[0]) % self.p,)
+        log = self._log
+        if log is None:
+            self._check(a, b)
+            return self._convolve(a, b)
+        try:
+            k = log[a] + log[b]
+        except KeyError:
+            raise FieldMismatchError("scalar does not belong to this field") from None
+        return self._exp[k] if k >= 0 else self.zero
+
+    def _convolve(self, a, b):
+        """Product of two elements of an extension field by polynomial
+        multiplication modulo the modulus; fills the tables."""
         p, s = self.p, self.s
-        if s == 1:
-            return ((a[0] * b[0]) % p,)
         conv = [0] * (2 * s - 1)
         for i, x in enumerate(a):
             if x:
@@ -216,6 +269,17 @@ class Field:
         return tuple(out)
 
     def pow(self, a, k: int):
+        log = self._log
+        if log is not None:
+            try:
+                i = log[a]
+            except KeyError:
+                raise FieldMismatchError("scalar does not belong to this field") from None
+            if i >= 0:
+                return self._exp[i * k % (self.order - 1)]
+            if k < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return self.one if k == 0 else self.zero
         if k < 0:
             return self.pow(self.inv(a), -k)
         result = self.one
@@ -232,7 +296,12 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         if self.s == 1:
             return (pow(a[0], self.p - 2, self.p),)
-        return self.pow(a, self.order - 2)
+        if self._log is None:
+            return self.pow(a, self.order - 2)
+        try:
+            return self._exp[self.order - 1 - self._log[a]]
+        except KeyError:
+            raise FieldMismatchError("scalar does not belong to this field") from None
 
     def frobenius(self, a):
         """The p-power map, a field automorphism fixing the prime subfield."""

@@ -52,6 +52,7 @@ from .poly import (
     canon_key,
     exact_divide,
     frobenius_power_mod_bracket,
+    frobenius_q,
     multiply_monomial_truncated,
 )
 from .structure import CIdeal, squarefree_offender
@@ -307,7 +308,8 @@ def _threshold_samples(f: Poly, e_list):
     """Yield the threshold sample of f at each e in e_list, None when unsplit.
 
     Square-free supported f reduces one f^(p-1) for every e (the digit
-    lemma in the module docstring); other input reduces f^(p^e-1) per e.
+    lemma in the module docstring), so p^e may exceed the kernel's 16-bit
+    exponent range; other input reduces f^(p^e-1) per e.
     """
     if f.is_zero():
         raise ZeroInputError("threshold sample of the zero polynomial")
@@ -316,12 +318,13 @@ def _threshold_samples(f: Poly, e_list):
     digits = squarefree_offender(f) is None
     low = None  # least total degree on supp f^(p-1), once a sample needs it
     for e in e_list:
-        q = bracket_exponent(fld, e)
         if digits:
+            q = frobenius_q(fld, e)
             if low is None:
                 low = min(sum(w) for w in frobenius_power_mod_bracket(f, 1).terms)
             b = n * (q - 1) - (q - 1) // (fld.p - 1) * low
         else:
+            q = bracket_exponent(fld, e)
             reduced = frobenius_power_mod_bracket(f, e)
             if reduced.is_zero():
                 yield None

@@ -92,8 +92,9 @@ def global_invariants(Q: CIdeal, s_max: int = 3, budget: int = SEARCH_BUDGET):
     if all(g.evaluate(origin) == Q.field.zero for g in Q.factors):
         best = dfpt_at(Q, origin)
     for s in range(1, s_max + 1):
-        big = level_field(Q.field, s)
-        if big is None or big.order**n > budget:
+        # the grid is sized first, so a level past the budget builds no field
+        big = level_field(Q.field, s) if Q.field.order ** (s * n) <= budget else None
+        if big is None:
             budget_exceeded = True
             continue
         factors = [g.embed(big) for g in Q.factors]

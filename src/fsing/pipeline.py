@@ -335,8 +335,9 @@ def hypersurface_point_checks(
     checks = []
     budget_exceeded = False
     for s in range(1, s_max + 1):
-        big = level_field(base, s)
-        if big is None or big.order**n > budget:
+        # the grid is sized first, so a level past the budget builds no field
+        big = level_field(base, s) if base.order ** (s * n) <= budget else None
+        if big is None:
             budget_exceeded = True
             continue
         fe = f.embed(big)

@@ -496,12 +496,17 @@ def _mul_truncated(fld, a, b, q):
     return out
 
 
-def bracket_exponent(fld: Field, e) -> int:
-    """q = p^e for a Frobenius exponent e, which must be a positive integer
-    with p^e inside the supported 16-bit exponent range."""
+def frobenius_q(fld: Field, e) -> int:
+    """q = p^e for a Frobenius exponent e, which must be a positive integer."""
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"Frobenius exponent must be a positive integer, got {e!r}")
-    q = fld.p**e
+    return fld.p**e
+
+
+def bracket_exponent(fld: Field, e) -> int:
+    """q = p^e (:func:`frobenius_q`) for a kernel that builds f^(q-1), so
+    p^e must lie inside the supported 16-bit exponent range."""
+    q = frobenius_q(fld, e)
     if q >= MAX_CHAR:
         raise ExponentOverflowError(f"p^e = {q} leaves the supported exponent range")
     return q

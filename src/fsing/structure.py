@@ -33,7 +33,7 @@ from .errors import (
     ZeroLeadingError,
     ZeroOrConstantError,
 )
-from .field import build_field
+from .field import level_field
 from .poly import Poly, canon_key
 
 
@@ -241,12 +241,17 @@ def gcd_sqfree(f: Poly, g: Poly) -> Poly:
 
 
 def extension_stability_check(f: Poly, s: int) -> bool:
-    """Compare the irreducible factor counts over F_p and F_{p^s}."""
-    if not 1 <= s <= 4:
-        raise DegreeRangeError(f"extension degree must lie in 1..4, got {s!r}")
+    """Compare the irreducible factor counts of f over its coefficient field
+    F_{p^k} and over the degree-s extension F_{p^(k*s)}
+    (:func:`fsing.field.level_field`); k*s may not exceed 4."""
+    big = level_field(f.field, s) if isinstance(s, int) and s >= 1 else None
+    if big is None:
+        raise DegreeRangeError(
+            f"extension degree over F_{f.field.order} must lie in 1..{4 // f.field.s},"
+            f" got {s!r}"
+        )
     base_count = disjoint_factorization(f).t
     if s == 1:
         return True
-    big = build_field(f.field.p, s)
     ext_count = disjoint_factorization(f.embed(big)).t
     return base_count == ext_count

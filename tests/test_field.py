@@ -1,10 +1,12 @@
 """Field arithmetic: modulus selection, frozen values, exhaustive axioms."""
 
+import random
 from itertools import product
 
 import pytest
 
 from fsing import build_field, is_prime
+from fsing.field import MAX_CHAR
 from fsing.errors import DegreeRangeError, FieldMismatchError, NotPrimeError
 
 
@@ -167,6 +169,83 @@ def test_arity_mismatch_rejected():
         F4.add(F4.one, F2.one)
     with pytest.raises(ZeroDivisionError):
         F2.inv(F2.zero)
+
+
+def convolution_pow(fld, a, k):
+    """a^k, k >= 0, by repeated squaring over the retained convolution."""
+    result = fld.one
+    while k:
+        if k & 1:
+            result = fld._convolve(result, a)
+        a = fld._convolve(a, a)
+        k >>= 1
+    return result
+
+
+def assert_table_ops_match_convolution(fld, a, b, k):
+    assert fld.mul(a, b) == fld._convolve(a, b)
+    if a == fld.zero:
+        return
+    assert fld._convolve(a, fld.inv(a)) == fld.one
+    assert fld.pow(a, k) == convolution_pow(fld, a, k)
+    assert fld._convolve(fld.pow(a, -k), convolution_pow(fld, a, k)) == fld.one
+
+
+@pytest.mark.parametrize(
+    "p,s", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]
+)
+def test_tables_match_convolution_exhaustive(p, s):
+    fld = build_field(p, s)
+    q = fld.order
+    elems = list(fld.elements())
+    for a in elems:
+        for k, b in enumerate(elems):
+            assert_table_ops_match_convolution(fld, a, b, k)
+    # the generator is the first element in decode order of order q - 1
+    def period(a):
+        power, k = a, 1
+        while power != fld.one:
+            power, k = fld._convolve(power, a), k + 1
+        return k
+
+    assert fld._exp[1] == next(a for a in elems[1:] if period(a) == q - 1)
+    assert len(fld._exp) == 2 * (q - 1) and len(fld._log) == q
+
+
+@pytest.mark.parametrize("p,s", [(5, 3), (5, 4), (7, 4), (251, 2)])
+def test_tables_match_convolution_random(p, s):
+    fld = build_field(p, s)
+    rng = random.Random(p * 10 + s)
+    for _ in range(2000):
+        a, b = (fld.decode(rng.randrange(fld.order)) for _ in range(2))
+        assert_table_ops_match_convolution(fld, a, b, rng.randrange(3 * fld.order))
+
+
+@pytest.mark.parametrize("p,s", [(3, 1), (3, 2), (257, 2)])
+def test_pow_and_inv_of_zero(p, s):
+    # F_{257^2} lies past 2^16 and keeps the convolution path
+    fld = build_field(p, s)
+    assert (fld._log is None) == (s == 1 or fld.order > MAX_CHAR)
+    assert fld.pow(fld.zero, 0) == fld.one
+    assert fld.pow(fld.zero, 5) == fld.zero
+    with pytest.raises(ZeroDivisionError):
+        fld.pow(fld.zero, -1)
+    with pytest.raises(ZeroDivisionError):
+        fld.inv(fld.zero)
+
+
+@pytest.mark.parametrize("bad", [(1,), (1, 0, 0), (3, 0), (0, -1)])
+def test_table_ops_reject_foreign_tuples(bad):
+    F9 = build_field(3, 2)
+    for call in (
+        lambda: F9.mul(bad, F9.one),
+        lambda: F9.mul(F9.one, bad),
+        lambda: F9.pow(bad, 2),
+        lambda: F9.pow(bad, 0),
+        lambda: F9.inv(bad),
+    ):
+        with pytest.raises(FieldMismatchError):
+            call()
 
 
 def test_field_identity_and_hash():

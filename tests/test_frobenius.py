@@ -310,11 +310,14 @@ def test_crosscheck_reduces_only_the_first_power(monkeypatch):
 
 
 def test_fpt_sample_exponent_range():
-    # the digit path never builds f^(q-1) but keeps the kernel's range checks
-    x = mk(build_field(257), VarCtx(("x",)), {(1,): 1})
+    # the digit path never builds f^(q-1), so p^e may pass 2^16; the kernel
+    # path, taken by input that is not square-free, keeps the range check
+    F257, ctx = build_field(257), VarCtx(("x",))
+    x = mk(F257, ctx, {(1,): 1})
     assert fpt_sample_poly(x, 1) == FptSample(1, 257, 0, Fraction(0))
+    assert fpt_sample_poly(x, 2) == FptSample(2, 66049, 0, Fraction(0))
     with pytest.raises(ExponentOverflowError):
-        fpt_sample_poly(x, 2)
+        fpt_sample_poly(mk(F257, ctx, {(2,): 1}), 2)
     with pytest.raises(ValueError):
         fpt_sample_poly(x, 0)
 

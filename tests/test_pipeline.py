@@ -436,6 +436,16 @@ def test_cli_check_off_origin_extension_field(tmp_path, capsys):
     assert entry["invariants"]["budget_exceeded"] is True  # level 3 is F_64
 
 
+def test_cli_check_quadric_beyond_kernel_exponent_range(tmp_path, capsys):
+    # at p = 257 the e = 2 crosscheck sample has p^2 > 2^16; square-free
+    # input reads it off f^(p-1), so no kernel range check applies
+    path = tmp_path / "q257.poly"
+    path.write_text("p 257\nvars x1 x2 x3 x4\npoly f: x1*x2 + x3*x4\n")
+    assert main(["check", str(path)]) == 0
+    entry = json.loads(capsys.readouterr().out)["results"]["polys"][0]
+    assert [row["q"] for row in entry["fpt"]] == [257, 66049]
+
+
 def test_cli_check_single_poly(poly_file, capsys):
     assert main(["check", poly_file, "--poly", "g", "--tests", "certificate"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -508,10 +518,16 @@ def test_cli_matroid(tmp_path, capsys):
         (["suite", "--count", "1", "--max-factors", "0"], "--max-factors"),
         (["suite", "--count", "1", "--n", "2", "--max-factors", "3"], "--max-factors"),
         (["suite", "--count", "-1"], "--count"),
+        (["check", "{off_origin}", "--s-max", "0"], "--s-max"),
+        (["matroid", "{matroid}", "--s-max", "0"], "--s-max"),
+        (["modify", "{poly}", "--g", "f", "--h", "h", "--s-max", "0"], "--s-max"),
+        (["modify", "{poly}", "--g", "f", "--h", "h", "--max-points", "-1"],
+         "--max-points"),
     ],
     ids=[
         "check", "fpt", "matroid", "modify", "suite", "check-seed", "basis-index",
         "suite-n", "suite-max-factors-0", "suite-max-factors-above-n", "suite-count",
+        "check-s-max", "matroid-s-max", "modify-s-max", "modify-max-points",
     ],
 )
 def test_cli_usage_errors_exit_2(tmp_path, capsys, argv, named):
@@ -519,6 +535,7 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, argv, named):
         "poly": "p 2\nvars x y z w\npoly f: x*y + z*w\npoly h: x*y*w + x*z*w\n",
         "matroid": "matroid\nn 3\nbasis 1 2\nbasis 1 3\nbasis 2 3\n",
         "bad_matroid": "matroid\nn 2\nbasis 3\n",
+        "off_origin": "p 2\nvars x y\npoly f: x*y + 1\n",
     }
     paths = {}
     for key, text in files.items():

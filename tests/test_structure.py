@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import fsing.structure
 from conftest import mk, oracle_factorization
 from fsing import (
     CIdeal,
@@ -297,3 +298,21 @@ def test_extension_stability():
     assert extension_stability_check(prod, 2)
     with pytest.raises(DegreeRangeError):
         extension_stability_check(f, 5)
+
+
+def test_extension_stability_over_extension_field(monkeypatch):
+    # s counts degrees over the coefficient field: F_4 at s = 2 is F_16
+    F4 = build_field(2, 2)
+    f = mk(F4, VarCtx(("x", "y")), {(1, 1): 1, (1, 0): 1, (0, 1): 1})
+    seen = []
+    factorize = fsing.structure.disjoint_factorization
+
+    def recording(g):
+        seen.append(g.field)
+        return factorize(g)
+
+    monkeypatch.setattr(fsing.structure, "disjoint_factorization", recording)
+    assert extension_stability_check(f, 2)
+    assert seen == [F4, build_field(2, 4)]
+    with pytest.raises(DegreeRangeError):
+        extension_stability_check(f, 3)
