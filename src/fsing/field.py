@@ -213,8 +213,9 @@ class Field:
         return sum(c * self.p**i for i, c in enumerate(a))
 
     def elements(self):
-        for m in range(self.order):
-            yield self.decode(m)
+        """Every element, in encoding order: decode(0), decode(1), ..."""
+        # product varies its last slot fastest; coordinate 0 is the lowest digit
+        return (c[::-1] for c in product(range(self.p), repeat=self.s))
 
     # -- arithmetic ----------------------------------------------------
 

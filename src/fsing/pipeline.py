@@ -29,7 +29,7 @@ from .frobenius import (
     fpt_sample_poly,
     verify_regularity_certificate,
 )
-from .invariants import SEARCH_BUDGET, dfpt_at, fpt_crosscheck
+from .invariants import SEARCH_BUDGET, dfpt_at, fpt_crosscheck, level_zeros, order_finder
 from .poly import Poly, VarCtx, exact_divide
 from .structure import (
     CIdeal,
@@ -321,8 +321,13 @@ def hypersurface_point_checks(
     """Search V(f) over small extensions; check lam(e) = n - ord pointwise.
 
     Level s is the degree-s extension of the coefficient field
-    (:func:`fsing.field.level_field`); it skips the points of earlier
-    levels, those with every coordinate in one proper subfield.
+    (:func:`fsing.field.level_field`).  Its zeros come in grid order,
+    coordinate 0 least significant, without the points of earlier levels
+    (those with every coordinate in one proper subfield), from
+    :func:`fsing.invariants.level_zeros`.  The first max_points zeros get
+    a check record, read off the shifted polynomial; every other zero
+    only contributes its order to the maximum, taken from first partials
+    where possible (:func:`fsing.invariants.order_finder`).
 
     Returns (max multiplicity seen, list of per-point check records,
     budget flag).  The threshold identity is exact for every point by
@@ -341,34 +346,27 @@ def hypersurface_point_checks(
             budget_exceeded = True
             continue
         fe = f.embed(big)
-        order = big.order
-        # earlier levels d | s, d < s, are the subfields fixed by a -> a^(p^(k*d))
-        subfields = [
-            {a for a in big.elements() if big.pow(a, base.order**d) == a}
-            for d in range(1, s)
-            if s % d == 0
-        ]
-        for index in range(order**n):
-            point = tuple(big.decode((index // order**i) % order) for i in range(n))
-            if any(all(a in sub for a in point) for sub in subfields):
+        order_at = order_finder(fe)
+        for point in level_zeros([fe], base, s):
+            if len(checks) >= max_points:
+                best = max(best, order_at(point))
                 continue
-            if fe.evaluate(point) != big.zero:
-                continue
-            key = tuple(big.encode(a) for a in point)
             shifted = fe.shift(point)
             ordv = shifted.order_and_initial()[0]
             best = max(best, ordv)
-            if len(checks) < max_points:
-                entry = {"point": list(key), "s": s, "ord": ordv, "samples": [], "ok": True}
-                for e in e_list:
-                    sample = fpt_sample_poly(shifted, e)
-                    if sample is None or sample.lam != Fraction(n - ordv):
-                        entry["ok"] = False
-                    if sample is not None:
-                        entry["samples"].append(
-                            {"e": e, "num": sample.lam.numerator, "den": sample.lam.denominator}
-                        )
-                checks.append(entry)
+            entry = {
+                "point": [big.encode(a) for a in point],
+                "s": s, "ord": ordv, "samples": [], "ok": True,
+            }
+            for e in e_list:
+                sample = fpt_sample_poly(shifted, e)
+                if sample is None or sample.lam != Fraction(n - ordv):
+                    entry["ok"] = False
+                if sample is not None:
+                    entry["samples"].append(
+                        {"e": e, "num": sample.lam.numerator, "den": sample.lam.denominator}
+                    )
+            checks.append(entry)
     return best, checks, budget_exceeded
 
 

@@ -315,47 +315,50 @@ class Poly:
         return Poly(fld, self.vars, out)
 
     def shift(self, point) -> "Poly":
-        """Substitute x_i -> x_i + a_i; exact round trip with the negated point."""
+        """Substitute x_i -> x_i + a_i; exact round trip with the negated point.
+
+        Each variable's expansion rows, the coefficients binom(k, j) *
+        a_i^(k-j) of x_i^j in (x_i + a_i)^k, are built once per call; a
+        term's expansion has distinct monomials, so only terms are merged.
+        """
         fld = self.field
         if len(point) != self.vars.n:
             raise ContextMismatchError("point arity does not match variable context")
+        mul, add, zero, one, p = fld.mul, fld.add, fld.zero, fld.one, fld.p
+        moved = [i for i, a in enumerate(point) if a != zero]
+        rows = {}  # (i, k) -> [(j, coefficient of x_i^j)], binom(k, j) != 0 mod p
+
+        def expansion_row(i, k):
+            a = point[i]
+            row = []
+            for j in range(k + 1):
+                binom = math.comb(k, j) % p
+                if binom:
+                    w = fld.pow(a, k - j)
+                    row.append((j, w if binom == 1 else mul(w, fld.scalar(binom))))
+            rows[i, k] = row
+            return row
+
         result = {}
         for e, c in self.terms.items():
-            moved = [i for i, a in enumerate(point) if e[i] and a != fld.zero]
-            base = tuple(0 if i in moved else v for i, v in enumerate(e))
-            expansion = {base: c}
+            expansion = [(e, c)]
             for i in moved:
                 k = e[i]
-                a = point[i]
-                nxt = {}
-                for cur_e, cur_c in expansion.items():
-                    for j in range(k + 1):
-                        binom = math.comb(k, j) % fld.p
-                        if not binom:
-                            continue
-                        coeff = fld.mul(cur_c, fld.scalar(binom))
-                        if j < k:
-                            coeff = fld.mul(coeff, fld.pow(a, k - j))
-                        if coeff == fld.zero:
-                            continue
-                        ne = cur_e[:i] + (j,) + cur_e[i + 1 :]
-                        prev = nxt.get(ne)
-                        if prev is None:
-                            nxt[ne] = coeff
-                        else:
-                            merged = fld.add(prev, coeff)
-                            if merged == fld.zero:
-                                del nxt[ne]
-                            else:
-                                nxt[ne] = merged
-                expansion = nxt
-            for ne, nc in expansion.items():
+                if not k:
+                    continue
+                row = rows.get((i, k)) or expansion_row(i, k)
+                expansion = [
+                    (ce[:i] + (j,) + ce[i + 1 :], cc if w == one else mul(cc, w))
+                    for ce, cc in expansion
+                    for j, w in row
+                ]
+            for ne, nc in expansion:
                 prev = result.get(ne)
                 if prev is None:
                     result[ne] = nc
                 else:
-                    merged = fld.add(prev, nc)
-                    if merged == fld.zero:
+                    merged = add(prev, nc)
+                    if merged == zero:
                         del result[ne]
                     else:
                         result[ne] = merged

@@ -1,5 +1,6 @@
 """Multiplicity, defect of the threshold, and global maximizer search."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -12,14 +13,19 @@ from fsing import (
     VarCtx,
     build_field,
     dfpt_at,
+    disjoint_factorization,
     fpt_crosscheck,
     global_invariants,
-    multiplicity_hypersurface,
 )
 from fsing.errors import PointNotOnVarietyError, ZeroInputError
+from fsing.field import level_field
+from fsing.invariants import level_zeros, order_finder
+from fsing.pipeline import random_sqfree
 
 F2 = build_field(2)
 F3 = build_field(3)
+F4 = build_field(2, 2)
+F9 = build_field(3, 2)
 XYZW = VarCtx(("x", "y", "z", "w"))
 
 
@@ -43,14 +49,16 @@ def exhaustive_max_mult(Q, s):
 
 def test_multiplicity_examples():
     f = quadric()
+    Q = CIdeal.from_factors([f])
     origin = (F2.zero,) * 4
-    assert multiplicity_hypersurface(f, origin) == 2
+    assert dfpt_at(Q, origin).mult == 2
     off_center = (F2.one, F2.zero, F2.zero, F2.zero)
-    assert multiplicity_hypersurface(f, off_center) == 1
+    assert dfpt_at(Q, off_center).mult == 1
     with pytest.raises(PointNotOnVarietyError):
-        multiplicity_hypersurface(f, (F2.one, F2.one, F2.zero, F2.zero))
+        dfpt_at(Q, (F2.one, F2.one, F2.zero, F2.zero))
+    zero = CIdeal(F2, XYZW, [Poly.zero(F2, XYZW)], F2.one, validate=False)
     with pytest.raises(ZeroInputError):
-        multiplicity_hypersurface(Poly.zero(F2, XYZW), origin)
+        dfpt_at(zero, origin)
 
 
 def test_dfpt_quadric():
@@ -154,3 +162,137 @@ def test_fpt_crosscheck_char5_product():
     )
     for sample, diff in fpt_crosscheck(Q, (1,)):
         assert diff == 0
+
+
+# --------------------------------------------------------------------------
+# the zero walker shared by both point searches
+# --------------------------------------------------------------------------
+
+def brute_zeros(polys, base, s):
+    """Common zeros by a plain loop over the grid, coordinate 0 least
+    significant, without the points whose coordinates all lie in one
+    proper subfield (those belong to an earlier level)."""
+    big = level_field(base, s)
+    n = polys[0].vars.n
+    subfields = [base.order**d for d in range(1, s) if s % d == 0]
+    out = []
+    for combo in product(list(big.elements()), repeat=n):
+        point = combo[::-1]
+        if any(all(big.pow(a, q) == a for a in point) for q in subfields):
+            continue
+        if all(g.evaluate(point) == big.zero for g in polys):
+            out.append(point)
+    return out
+
+
+def random_part(fld, ctx, rng, block, max_exp, terms):
+    """Random polynomial on the variables of block, constant term allowed."""
+    out = {}
+    for _ in range(terms):
+        exps = tuple(rng.randint(0, max_exp) if i in block else 0 for i in range(ctx.n))
+        out[exps] = fld.decode(rng.randrange(1, fld.order))
+    return Poly(fld, ctx, out)
+
+
+# (base field, level, variables): grids of at most 729 points
+LEVELS = [(F2, 1, 4), (F3, 1, 4), (F4, 1, 4), (F9, 1, 3), (F2, 2, 4), (F3, 2, 3)]
+LEVEL_IDS = ["F2", "F3", "F4", "F9", "F2-level2", "F3-level2"]
+
+
+def walker_cases(base, s, n, seed):
+    """Lists of polynomials over the level field: one factor, disjoint
+    factors, modify-shaped ones with squared variables, a zero part."""
+    rng = random.Random(seed)
+    big = level_field(base, s)
+    ctx = VarCtx(tuple(f"x{i}" for i in range(n)))
+    everything = set(range(n))
+    cases = []
+    for _ in range(6):
+        cases.append([random_part(base, ctx, rng, everything, 1, 5)])
+        cut = rng.randint(1, n - 1)
+        blocks = [set(range(cut)), set(range(cut, n))]
+        rng.shuffle(blocks)
+        cases.append([random_part(base, ctx, rng, b, 1, 3) for b in blocks])
+        cases.append([random_part(base, ctx, rng, everything, 2, 6)])
+        cases.append([random_part(base, ctx, rng, {0, 1}, 1, 3), Poly.zero(base, ctx)])
+    # g*(1 + x0 + x2) + h in the shape of the modification construction
+    g = mk(base, ctx, {(1, 1) + (0,) * (n - 2): 1, (0, 0, 1) + (0,) * (n - 3): 1})
+    ell = mk(base, ctx, {(0,) * n: 1, (1,) + (0,) * (n - 1): 1, (0, 0, 1) + (0,) * (n - 3): 1})
+    h = mk(base, ctx, {(1, 1, 1) + (0,) * (n - 3): 1})
+    cases.append([g * ell + h])
+    cases.append([Poly.zero(base, ctx)])
+    return [[g.embed(big) for g in polys] for polys in cases]
+
+
+@pytest.mark.parametrize("base, s, n", LEVELS, ids=LEVEL_IDS)
+def test_level_zeros_match_brute_force_in_grid_order(base, s, n):
+    for k, polys in enumerate(walker_cases(base, s, n, seed=31 * s + base.order)):
+        assert list(level_zeros(polys, base, s)) == brute_zeros(polys, base, s), k
+
+
+@pytest.mark.parametrize("base, s, n", LEVELS, ids=LEVEL_IDS)
+def test_first_partials_order_matches_shift(base, s, n):
+    seen = set()
+    for polys in walker_cases(base, s, n, seed=17 * s + base.order):
+        live = [g for g in polys if not g.is_zero()]
+        orders = [order_finder(g) for g in live]
+        for point in level_zeros(polys, base, s):
+            for g, order in zip(live, orders):
+                expected = g.shift(point).order_and_initial()[0]
+                assert order(point) == expected
+                seen.add(expected)
+    assert 1 in seen and max(seen) >= 2  # both paths of the finder ran
+
+
+def first_maximizer(Q, s_max):
+    """(mult, point) of the first point of maximal multiplicity in search
+    order: the origin, then each level's full grid, coordinate 0 least
+    significant, subfield points included; None without any point."""
+    best = None
+    origin = (Q.field.zero,) * Q.vars.n
+    levels = [(Q.field, [origin])] + [
+        (fld, [c[::-1] for c in product(list(fld.elements()), repeat=Q.vars.n)])
+        for fld in (level_field(Q.field, s) for s in range(1, s_max + 1))
+    ]
+    for fld, points in levels:
+        factors = [g.embed(fld) for g in Q.factors]
+        for point in points:
+            if any(g.evaluate(point) != fld.zero for g in factors):
+                continue
+            mult = sum(g.shift(point).order_and_initial()[0] for g in factors)
+            if best is None or mult > best[0]:
+                best = (mult, point)
+    return best
+
+
+@pytest.mark.parametrize("p, seed", [(2, 1), (2, 2), (3, 3), (3, 4)])
+def test_global_invariants_match_exhaustive_on_products(p, seed):
+    # a constant term moves the first factor off the origin, so the search runs
+    fld = build_field(p)
+    Q0 = disjoint_factorization(random_sqfree(fld, 4, 6, 2, seed=seed))
+    moved = [Q0.factors[0] + Poly.constant(fld, Q0.vars, 1)] + Q0.factors[1:]
+    for factors in (Q0.factors, moved):
+        Q = CIdeal(fld, Q0.vars, factors, fld.one)
+        for s_max in (1, 2):
+            expected = first_maximizer(Q, s_max)
+            if expected is None:
+                with pytest.raises(PointNotOnVarietyError):
+                    global_invariants(Q, s_max=s_max)
+                continue
+            rep = global_invariants(Q, s_max=s_max)
+            assert (rep.mult, rep.point) == expected
+            found = [exhaustive_max_mult(Q, s) for s in range(1, s_max + 1)]
+            assert rep.mult == max(m for m in found if m is not None)
+
+
+def test_level_zeros_large_level_field():
+    # level 2 over F_3001 is F_(3001^2), a 9*10^6-point grid inside the
+    # budget: the linear step solves x = -1, a point of level 1, so level 2
+    # yields nothing without walking the field or tabulating its elements
+    fld = build_field(3001)
+    ctx = VarCtx(("x",))
+    f = mk(fld, ctx, {(1,): 1, (0,): 1})
+    assert list(level_zeros([f], fld, 1)) == [(fld.scalar(-1),)]
+    assert list(level_zeros([f.embed(level_field(fld, 2))], fld, 2)) == []
+    rep = global_invariants(CIdeal.from_factors([f]), s_max=3)
+    assert (rep.point, rep.mult, rep.budget_exceeded) == ((fld.scalar(-1),), 1, True)

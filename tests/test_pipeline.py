@@ -1,6 +1,7 @@
 """Input formats, random generation, the suite, modification, and the CLI."""
 
 import json
+import os
 import random
 from itertools import product
 
@@ -562,6 +563,31 @@ def test_cli_modify(tmp_path, capsys):
     assert report["results"]["dfpt"] == 1
     capsys.readouterr()
     assert main(["modify", str(path), "--g", "g", "--h", "hbad", "--a", "1,0,0,0"]) == 2
+
+
+PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned")
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("chain4", ["check", "chain4.poly"]),
+        ("chain5", ["check", "chain5.poly"]),
+        ("ext2", ["check", "ext2.poly"]),
+        ("three", ["check", "three.poly", "--s-max", "2"]),
+        ("modify", ["modify", "modify.poly", "--g", "g", "--h", "h", "--a", "1,1,0,1",
+                    "--s-max", "3", "--max-points", "1"]),
+    ],
+    ids=["chain4", "chain5", "ext2", "three", "modify"],
+)
+def test_cli_point_search_reports_pinned(monkeypatch, capsys, name, argv):
+    # tests/pinned/NAME.json holds the report of the exhaustive grid loop that
+    # evaluated and shifted at every point; the zero walker, first-partials
+    # orders and subfield skipping must reproduce it byte for byte
+    monkeypatch.chdir(PINNED)
+    assert main(argv) == 0
+    with open(f"{name}.json", encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
 
 
 def test_cli_suite_and_output_file(tmp_path, capsys):

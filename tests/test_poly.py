@@ -114,7 +114,7 @@ def test_evaluate_and_substitute():
 
 def test_shift_matches_substitution_expansion():
     rng = random.Random(7)
-    for fld in (F2, F3, F5):
+    for fld in (F2, F3, F5, build_field(2, 2), build_field(3, 2)):
         ctx = VarCtx(("x", "y", "z"))
         xs = [Poly.variable(fld, ctx, i) for i in range(3)]
         for _ in range(25):
