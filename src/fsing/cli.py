@@ -27,7 +27,6 @@ from .errors import (
 )
 from .field import build_field
 from .frobenius import (
-    assert_split_or_dump,
     build_regularity_certificate,
     fsplit_witness,
     verify_regularity_certificate,
@@ -92,6 +91,18 @@ def _render_search_point(base_field, rep):
     return out
 
 
+def _crosscheck_rows(Q, e_list):
+    """Rendered threshold samples with their discrepancies, and whether
+    every discrepancy is zero."""
+    rows, ok = [], True
+    for sample, diff in fpt_crosscheck(Q, e_list):
+        row = render_fpt_sample(sample)
+        row["discrepancy"] = {"num": diff.numerator, "den": diff.denominator}
+        rows.append(row)
+        ok = ok and diff == 0
+    return rows, ok
+
+
 # --------------------------------------------------------------------------
 # check
 # --------------------------------------------------------------------------
@@ -105,7 +116,7 @@ def _check_poly(field, varctx, name, f, args):
     off = squarefree_offender(f)
     if off is not None:
         if tests == "fsplit":
-            w = fsplit_witness(f, 1)
+            w = fsplit_witness(f)
             entry["fsplit"] = render_witness(varctx, w) if w else "NotSplit"
             return entry, "pass"
         raise NotSquareFreeSupportedError(
@@ -118,7 +129,19 @@ def _check_poly(field, varctx, name, f, args):
     entry["t"] = Q.t
     status = "pass"
     if tests in ("all", "fsplit"):
-        w = assert_split_or_dump(Q, 1)
+        product = Q.product()
+        w = fsplit_witness(product)
+        if w is None:
+            # square-free supported input always splits
+            raise TheoremContradictionError(
+                "square-free supported input failed the splitting test",
+                dump={
+                    "e": 1,
+                    "q": field.p,
+                    "poly": str(product),
+                    "factors": [str(g) for g in Q.factors],
+                },
+            )
         entry["fsplit"] = render_witness(varctx, w)
         if tests == "fsplit":
             return entry, status
@@ -150,14 +173,9 @@ def _check_poly(field, varctx, name, f, args):
         status = "counterexample"
         entry["invariant_identity"] = "broken"
     if point is not None and all(a == field.zero for a in point):
-        samples = []
-        for sample, diff in fpt_crosscheck(Q, (1, 2)):
-            row = render_fpt_sample(sample)
-            row["discrepancy"] = {"num": diff.numerator, "den": diff.denominator}
-            samples.append(row)
-            if diff != 0:
-                status = "counterexample"
-        entry["fpt"] = samples
+        entry["fpt"], ok = _crosscheck_rows(Q, (1, 2))
+        if not ok:
+            status = "counterexample"
     return entry, status
 
 
@@ -230,14 +248,9 @@ def _cmd_fpt(args) -> int:
             )
         rep = dfpt_at(Q, origin)
         entry["invariants"] = render_invariants(field, rep)
-        samples = []
-        for sample, diff in fpt_crosscheck(Q, tuple(range(1, args.e_max + 1))):
-            row = render_fpt_sample(sample)
-            row["discrepancy"] = {"num": diff.numerator, "den": diff.denominator}
-            samples.append(row)
-            if diff != 0:
-                status = "counterexample"
-        entry["samples"] = samples
+        entry["samples"], ok = _crosscheck_rows(Q, range(1, args.e_max + 1))
+        if not ok:
+            status = "counterexample"
         entries.append(entry)
     report = build_report(
         _field_info(field),
@@ -342,8 +355,14 @@ def _cmd_suite(args) -> int:
         parsed = parse_poly_file(args.file)
         extra = tuple(parsed.polys.values())
         varnames = parsed.varctx.names
+    try:
+        p_list = tuple(int(x) for x in args.p_list.split(","))
+    except ValueError:
+        raise FsingError(
+            f"--p-list must be comma separated primes, got {args.p_list!r}"
+        ) from None
     config = SuiteConfig(
-        p_list=tuple(int(x) for x in args.p_list.split(",")),
+        p_list=p_list,
         n=args.n,
         max_terms=args.max_terms,
         max_factors=args.max_factors,

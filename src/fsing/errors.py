@@ -56,14 +56,6 @@ class ZeroOrConstantError(FsingError):
     """Factorization needs a nonconstant input."""
 
 
-class ZeroLeadingError(FsingError):
-    """Leading coefficient polynomial is zero."""
-
-
-class MinimalPrimeError(FsingError):
-    """Localizing multiplier lies in a minimal prime of the ideal."""
-
-
 class CertificateSearchExhausted(FsingError):
     """A regularity certificate stage has no witness.
 

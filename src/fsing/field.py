@@ -308,9 +308,6 @@ class Field:
         """The p-power map, a field automorphism fixing the prime subfield."""
         return self.pow(a, self.p)
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
     # -- formatting ----------------------------------------------------
 
     def scalar_str(self, a) -> str:

@@ -42,7 +42,6 @@ from fractions import Fraction
 
 from .errors import (
     CertificateSearchExhausted,
-    MinimalPrimeError,
     TheoremContradictionError,
     ZeroInputError,
 )
@@ -50,7 +49,6 @@ from .poly import (
     Poly,
     bracket_exponent,
     canon_key,
-    exact_divide,
     frobenius_power_mod_bracket,
     frobenius_q,
     multiply_monomial_truncated,
@@ -103,22 +101,16 @@ class FptSample:
     lam: Fraction
 
 
-def fsplit_witness(f: Poly, e: int):
-    """Splitting witness for a bare hypersurface f, or None when none survives."""
-    reduced = frobenius_power_mod_bracket(f, e)
+def fsplit_witness(f: Poly):
+    """Splitting witness of f at the origin, or None when f is not split.
+
+    Fedder's criterion at e = 1: the least monomial of f^(p-1) outside
+    the bracket ideal (x_i^p : all i), in canonical order.
+    """
+    reduced = frobenius_power_mod_bracket(f, 1)
     if reduced.is_zero():
         return None
-    return SplitWitness(e, f.field.p**e, reduced.least_monomial())
-
-
-def fedder_fsplit(Q: CIdeal, e: int):
-    """Splitting test at the origin for the complete intersection Q.
-
-    Returns the first surviving monomial of f^(p^e-1) mod the bracket
-    ideal in canonical order, packaged as a witness, or None when the
-    reduced power vanishes.
-    """
-    return fsplit_witness(Q.product(), e)
+    return SplitWitness(1, f.field.p, reduced.least_monomial())
 
 
 def verify_split_witness(Q: CIdeal, w: SplitWitness) -> bool:
@@ -131,20 +123,6 @@ def _shifted_power(f: Poly, e: int, mult) -> Poly:
     """x^mult * f^(p^e-1) modulo the bracket ideal (x_i^(p^e) : all i)."""
     reduced = frobenius_power_mod_bracket(f, e)
     return multiply_monomial_truncated(reduced, mult, f.field.p**e)
-
-
-def glassbrenner_condition(Q: CIdeal, g_exps, e: int):
-    """Witness for g * f^(p^e-1) outside the bracket ideal, g a monomial.
-
-    The multiplier must avoid every minimal prime (f_i) of the ideal,
-    checked by exact division of the monomial by each factor.
-    """
-    g_poly = Poly(Q.field, Q.vars, {tuple(g_exps): Q.field.one})
-    for fac in Q.factors:
-        if exact_divide(g_poly, fac) is not None:
-            raise MinimalPrimeError(f"multiplier {g_poly} lies in ({fac})")
-    shifted = _shifted_power(Q.product(), e, tuple(g_exps))
-    return None if shifted.is_zero() else shifted.least_monomial()
 
 
 # --------------------------------------------------------------------------
@@ -345,27 +323,3 @@ def fpt_sample_poly(f: Poly, e: int):
     supp f^(p-1), at every e; other input reduces f^(q-1) itself.
     """
     return next(_threshold_samples(f, (e,)))
-
-
-def fpt_oracle(Q: CIdeal, e: int):
-    """Threshold sample for the complete intersection Q at q = p^e."""
-    return fpt_sample_poly(Q.product(), e)
-
-
-def assert_split_or_dump(Q: CIdeal, e: int = 1):
-    """Raise a loud contradiction when a square-free supported ideal fails
-    the splitting test; used by the pipeline as a tripwire."""
-    w = fedder_fsplit(Q, e)
-    if w is None:
-        f = Q.product()
-        raise TheoremContradictionError(
-            "square-free supported input failed the splitting test",
-            dump={
-                "e": e,
-                "q": Q.field.p**e,
-                "poly": str(f),
-                "factors": [str(g) for g in Q.factors],
-                "reduced_power": str(frobenius_power_mod_bracket(f, e)),
-            },
-        )
-    return w

@@ -315,7 +315,8 @@ def matroid_basis_polynomial(m: MatroidInput, field: Field) -> Poly:
 
 
 def parse_point(field: Field, text: str, n: int):
-    """Comma-separated integers -> field elements (base-p digit encoding)."""
+    """Comma-separated integers in 0..q-1 -> field elements (base-p digit
+    encoding), q the field order; a value outside that range is an error."""
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != n:
         raise ValueError(f"expected {n} coordinates, got {len(parts)}")
@@ -325,5 +326,7 @@ def parse_point(field: Field, text: str, n: int):
             v = int(s)
         except ValueError:
             raise ValueError(f"bad coordinate {s!r}") from None
-        coords.append(field.decode(v % field.order))
+        if not 0 <= v < field.order:
+            raise ValueError(f"coordinate {v} is outside 0..{field.order - 1}")
+        coords.append(field.decode(v))
     return tuple(coords)

@@ -25,8 +25,8 @@ from .errors import (
 from .field import Field, build_field, level_field
 from .frobenius import (
     build_regularity_certificate,
-    fedder_fsplit,
     fpt_sample_poly,
+    fsplit_witness,
     verify_regularity_certificate,
 )
 from .invariants import SEARCH_BUDGET, dfpt_at, fpt_crosscheck, level_zeros, order_finder
@@ -128,7 +128,7 @@ def check_sqfree_sample(f: Poly, t_planted=None) -> dict:
     rec["factors"] = [str(g) for g in Q.factors]
     if t_planted is not None and Q.t != t_planted:
         return fail(f"recovered {Q.t} factors, planted {t_planted}")
-    w = fedder_fsplit(Q, 1)
+    w = fsplit_witness(Q.product())
     if w is None:
         return fail("no splitting witness at e=1")
     rec["witness"] = Q.vars.monomial_str(w.witness)
@@ -316,7 +316,7 @@ def _is_homogeneous(f: Poly) -> bool:
 
 
 def hypersurface_point_checks(
-    f: Poly, s_max: int = 2, e_list=(1, 2), max_points: int = 20, budget: int = SEARCH_BUDGET
+    f: Poly, s_max: int = 2, max_points: int = 20, budget: int = SEARCH_BUDGET
 ):
     """Search V(f) over small extensions; check lam(e) = n - ord pointwise.
 
@@ -329,6 +329,7 @@ def hypersurface_point_checks(
     only contributes its order to the maximum, taken from first partials
     where possible (:func:`fsing.invariants.order_finder`).
 
+    Each check record holds the threshold samples at e = 1 and e = 2.
     Returns (max multiplicity seen, list of per-point check records,
     budget flag).  The threshold identity is exact for every point by
     the supporting theory, so each record carries an ok bit instead of
@@ -358,7 +359,7 @@ def hypersurface_point_checks(
                 "point": [big.encode(a) for a in point],
                 "s": s, "ord": ordv, "samples": [], "ok": True,
             }
-            for e in e_list:
+            for e in (1, 2):
                 sample = fpt_sample_poly(shifted, e)
                 if sample is None or sample.lam != Fraction(n - ordv):
                     entry["ok"] = False
@@ -445,7 +446,7 @@ def modification_build(g: Poly, h: Poly, ell_coeffs, s_max: int = 2,
         )
 
     Qt = CIdeal.from_factors([transformed], check_irreducible=False)
-    witness = fedder_fsplit(Qt, 1)
+    witness = fsplit_witness(Qt.product())
     if witness is None:
         raise TheoremContradictionError(
             "transformed model failed the splitting test",
@@ -455,7 +456,7 @@ def modification_build(g: Poly, h: Poly, ell_coeffs, s_max: int = 2,
     verified = verify_regularity_certificate(Qt, cert)
 
     max_mult, checks, flagged = hypersurface_point_checks(
-        f, s_max=s_max, e_list=(1, 2), max_points=max_points
+        f, s_max=s_max, max_points=max_points
     )
     return ModificationResult(
         f=f,

@@ -176,9 +176,6 @@ class Poly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: canon_key(kv[0]))
 
-    def support(self):
-        return sorted(self.terms, key=canon_key)
-
     # -- ring operations ---------------------------------------------------
 
     def _compat(self, other):

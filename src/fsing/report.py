@@ -23,10 +23,6 @@ def render_point(field, point):
     return [field.encode(a) for a in point]
 
 
-def render_monomial(varctx, exps):
-    return varctx.monomial_str(exps)
-
-
 def render_witness(varctx, w):
     if w is None:
         return None

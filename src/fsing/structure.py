@@ -5,7 +5,7 @@ exponent above one in any support monomial.  Such a polynomial factors,
 uniquely up to scalars, into irreducible polynomials on pairwise
 disjoint variable sets; the quotient by those factors is then a complete
 intersection.  This module computes that factorization and the derived
-gcd and irreducibility predicates.
+irreducibility predicate.
 
 The factorization is exact and deterministic.  Write a multilinear f as
 f = a*x_i*x_j + b*x_i + c*x_j + d with a, b, c, d free of x_i and x_j.
@@ -18,6 +18,15 @@ factor supports.  Each factor is then read off the term table: the
 terms of f sharing one fixed monomial outside a block are that block's
 factor times a single coefficient of the cofactor.  Re-expanding the
 product of the factors reproduces f, which proves the result.
+
+Extension stability is a lemma, so nothing here checks it.  A field
+embedding F -> K is an injective ring map: it sends ad - bc over F to
+the same expression over K and keeps it zero or nonzero, so coupling,
+the factor supports and the factor count are the same over K as over
+F.  The leading monomial does not change either, so each factor over K
+is the embedded factor over F, and the constant is the embedded
+constant.  Hence a square-free supported polynomial that is irreducible
+over F_{p^k} stays irreducible over every extension F_{p^(k*s)}.
 """
 
 from __future__ import annotations
@@ -26,14 +35,11 @@ from operator import sub
 
 from .errors import (
     ContextMismatchError,
-    DegreeRangeError,
     FsingError,
     NotSquareFreeSupportedError,
     TheoremContradictionError,
-    ZeroLeadingError,
     ZeroOrConstantError,
 )
-from .field import level_field
 from .poly import Poly, canon_key
 
 
@@ -203,55 +209,3 @@ def disjoint_factorization(f: Poly) -> CIdeal:
 def is_irreducible_sqfree(f: Poly) -> bool:
     """Irreducibility over the coefficient field, via the factor count."""
     return disjoint_factorization(f).t == 1
-
-
-def degree_one_irreducibility(g: Poly, h: Poly) -> bool:
-    """Whether g*x + h is irreducible for a fresh variable x.
-
-    True exactly when the square-free gcd of g and h is constant, the
-    content criterion for degree-one polynomials over a UFD.
-    """
-    if g.is_zero():
-        raise ZeroLeadingError("leading coefficient polynomial is zero")
-    if h.is_zero():
-        return g.is_constant()
-    if h.is_constant() or g.is_constant():
-        return True
-    return gcd_sqfree(g, h).is_constant()
-
-
-def gcd_sqfree(f: Poly, g: Poly) -> Poly:
-    """Monic gcd of two square-free supported polynomials.
-
-    Both inputs factor into distinct irreducibles, so the gcd is the
-    product of the factors common to both factorizations.
-    """
-    f._compat(g)
-    if f.is_zero() or g.is_zero():
-        raise ZeroOrConstantError("gcd of zero is not supported here")
-    if f.is_constant() or g.is_constant():
-        return Poly.constant(f.field, f.vars, 1)
-    left = disjoint_factorization(f).factors
-    right = disjoint_factorization(g).factors
-    result = Poly.constant(f.field, f.vars, 1)
-    for u in left:
-        if any(u == v for v in right):
-            result = result * u
-    return result
-
-
-def extension_stability_check(f: Poly, s: int) -> bool:
-    """Compare the irreducible factor counts of f over its coefficient field
-    F_{p^k} and over the degree-s extension F_{p^(k*s)}
-    (:func:`fsing.field.level_field`); k*s may not exceed 4."""
-    big = level_field(f.field, s) if isinstance(s, int) and s >= 1 else None
-    if big is None:
-        raise DegreeRangeError(
-            f"extension degree over F_{f.field.order} must lie in 1..{4 // f.field.s},"
-            f" got {s!r}"
-        )
-    base_count = disjoint_factorization(f).t
-    if s == 1:
-        return True
-    ext_count = disjoint_factorization(f.embed(big)).t
-    return base_count == ext_count

@@ -16,16 +16,13 @@ from fsing import (
     RegStage,
     SplitWitness,
     VarCtx,
-    assert_split_or_dump,
     build_field,
     build_regularity_certificate,
-    fedder_fsplit,
+    canon_key,
     fpt_crosscheck,
-    fpt_oracle,
     fpt_sample_poly,
     frobenius_power_mod_bracket,
     fsplit_witness,
-    glassbrenner_condition,
     multiply_monomial_truncated,
     verify_regularity_certificate,
     verify_split_witness,
@@ -33,7 +30,6 @@ from fsing import (
 from fsing.errors import (
     CertificateSearchExhausted,
     ExponentOverflowError,
-    MinimalPrimeError,
     TheoremContradictionError,
     ZeroInputError,
 )
@@ -60,14 +56,14 @@ def two_quadrics():
 
 
 def test_fedder_witness_quadric():
-    w = fedder_fsplit(quadric_ideal(), 1)
+    w = fsplit_witness(quadric_ideal().product())
     assert w == SplitWitness(1, 2, (1, 1, 0, 0))
     assert verify_split_witness(quadric_ideal(), w)
 
 
 def test_fedder_witness_two_factors():
     Q = two_quadrics()
-    w = fedder_fsplit(Q, 1)
+    w = fsplit_witness(Q.product())
     assert w.witness == (1, 1, 0, 0, 1, 1, 0, 0)
     assert verify_split_witness(Q, w)
 
@@ -75,20 +71,39 @@ def test_fedder_witness_two_factors():
 def test_fedder_witness_mixed_degrees():
     ctx = VarCtx(("x", "y", "z"))
     Q = CIdeal.from_factors([mk(F2, ctx, {(1, 0, 0): 1, (0, 1, 1): 1})])
-    w = fedder_fsplit(Q, 1)
+    w = fsplit_witness(Q.product())
     assert w.witness == (1, 0, 0)  # the lower-degree monomial is preferred
 
 
 def test_fedder_witness_char3():
     f = mk(F3, VarCtx(("x", "y")), {(1, 0): 1, (0, 1): 1})
-    w = fsplit_witness(f, 1)
+    w = fsplit_witness(f)
     assert w == SplitWitness(1, 3, (2, 0))
 
 
 def test_square_is_not_split():
     f = mk(F2, VarCtx(("x",)), {(2,): 1})
-    assert fsplit_witness(f, 1) is None
-    assert fsplit_witness(f, 2) is None
+    assert fsplit_witness(f) is None
+    assert frobenius_power_mod_bracket(f, 2).is_zero()
+
+
+def test_fsplit_witness_against_naive_kernel():
+    # the witness is the least survivor of the fully expanded f^(p-1), and
+    # None exactly when nothing survives; squares of square-free f often fail
+    rng = random.Random(61)
+    for fld in (F2, F3, build_field(2, 2), build_field(5)):
+        outcomes = set()
+        for _ in range(30):
+            f = _random_sqfree_poly(fld, rng.randint(1, 4), rng)
+            if rng.random() < 0.4:
+                f = f * f
+            naive = naive_kernel(f, 1)
+            expected = None
+            if not naive.is_zero():
+                expected = SplitWitness(1, fld.p, min(naive.terms, key=canon_key))
+            assert fsplit_witness(f) == expected
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
 
 
 def test_witness_respects_exponent_bound():
@@ -106,28 +121,11 @@ def test_verify_split_witness_rejects_fake():
 
 
 def test_split_at_higher_levels():
-    Q = quadric_ideal()
-    for e in (1, 2, 3):
-        w = fedder_fsplit(Q, e)
-        assert w is not None
-        assert verify_split_witness(Q, w)
-
-
-def test_glassbrenner_examples():
-    Q = quadric_ideal()
-    assert glassbrenner_condition(Q, (0, 0, 1, 1), 1) == (1, 1, 1, 1)
-    assert glassbrenner_condition(Q, (1, 0, 0, 0), 1) == (1, 0, 1, 1)
-    assert glassbrenner_condition(Q, (1, 1, 1, 1), 1) is None
-
-
-def test_glassbrenner_minimal_prime_guard():
-    ctx = VarCtx(("x", "y", "z"))
-    Q = CIdeal.from_factors(
-        [mk(F2, ctx, {(1, 0, 0): 1}), mk(F2, ctx, {(0, 1, 0): 1, (0, 0, 1): 1})]
-    )
-    with pytest.raises(MinimalPrimeError):
-        glassbrenner_condition(Q, (1, 0, 1), 1)
-    assert glassbrenner_condition(Q, (0, 0, 1), 1) is not None
+    # the kernel keeps the quadric split above e = 1 and the square unsplit
+    square = mk(F2, VarCtx(("x",)), {(2,): 1})
+    for e in (2, 3):
+        assert not frobenius_power_mod_bracket(quadric(), e).is_zero()
+        assert frobenius_power_mod_bracket(square, e).is_zero()
 
 
 def test_certificate_quadric_frozen():
@@ -241,11 +239,11 @@ def test_discharged_helper():
 
 
 def test_fpt_samples_frozen():
-    assert fpt_oracle(quadric_ideal(), 1) == FptSample(1, 2, 2, Fraction(2))
-    assert fpt_oracle(quadric_ideal(), 2) == FptSample(2, 4, 6, Fraction(2))
-    assert fpt_oracle(CIdeal.from_factors([quadric(F3)]), 1) == FptSample(
-        1, 3, 4, Fraction(2)
-    )
+    Q = quadric_ideal()
+    assert fpt_sample_poly(Q.product(), 1) == FptSample(1, 2, 2, Fraction(2))
+    assert fpt_sample_poly(Q.product(), 2) == FptSample(2, 4, 6, Fraction(2))
+    Q3 = CIdeal.from_factors([quadric(F3)])
+    assert fpt_sample_poly(Q3.product(), 1) == FptSample(1, 3, 4, Fraction(2))
     x_in_two = mk(F2, VarCtx(("x", "y")), {(1, 0): 1})
     assert fpt_sample_poly(x_in_two, 2) == FptSample(2, 4, 3, Fraction(1))
 
@@ -327,25 +325,8 @@ def test_fpt_lambda_within_unit_interval_scaled():
     # sampled value never exceeds the ambient dimension
     Q = two_quadrics()
     for e in (1, 2):
-        s = fpt_oracle(Q, e)
+        s = fpt_sample_poly(Q.product(), e)
         assert 0 < s.lam <= Q.vars.n
-
-
-def test_assert_split_returns_witness():
-    w = assert_split_or_dump(quadric_ideal(), 1)
-    assert w.witness == (1, 1, 0, 0)
-
-
-def test_assert_split_dump_on_fabricated_failure():
-    ctx = VarCtx(("x",))
-    sq = mk(F2, ctx, {(2,): 1})
-    fake_q = CIdeal(F2, ctx, [sq], F2.one, validate=False)
-    with pytest.raises(TheoremContradictionError) as err:
-        assert_split_or_dump(fake_q, 1)
-    dump = err.value.dump
-    assert dump["e"] == 1 and dump["q"] == 2
-    assert dump["poly"] == "x^2"
-    assert dump["reduced_power"] == "0"
 
 
 def test_stage_witness_against_naive_localization():

@@ -1,9 +1,13 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports or defines is used in the package.
 
-A stdlib-only lint: each ``src/fsing/*.py`` module except ``__init__.py``
-(whose imports are its exports) is parsed, and every name bound by an
-import must be read somewhere in the module, in code or in a quoted
-annotation.
+Two stdlib-only lints over the ``src/fsing/*.py`` modules except
+``__init__.py`` (whose imports are its exports):
+
+- every name bound by an import must be read somewhere in the module,
+  in code or in a quoted annotation;
+- every module-level function and class must be read by name in some
+  module outside its own definition, unless ``PUBLIC`` lists it with the
+  reason it stays.
 """
 
 import ast
@@ -13,6 +17,12 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fsing"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+# Definitions no package module reads, each with the reason it stays.
+PUBLIC = {
+    "verify_split_witness": "replays a split witness; the planned report verifier calls it",
+    "is_squarefree_supported": "the boolean form of squarefree_offender for library callers",
+}
 
 
 def _imported_names(tree):
@@ -48,3 +58,24 @@ def test_no_unused_imports(path):
     used = _read_names(tree)
     unused = sorted(set(_imported_names(tree)) - used)
     assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+def test_no_dead_definitions():
+    # unread definitions must be exactly the allowlist: a new dead one
+    # fails, and so does an allowlisted name that is gone or now read
+    definitions, reads = [], {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for k, node in enumerate(tree.body):
+            reads[path.name, k] = _read_names(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((path.name, k, node.name))
+    unread = {
+        name
+        for module, k, name in definitions
+        if not any(name in names for key, names in reads.items() if key != (module, k))
+    }
+    assert sorted(unread) == sorted(PUBLIC), (
+        f"unread definitions {sorted(unread - set(PUBLIC))} (delete them or list"
+        f" them in PUBLIC); stale PUBLIC entries {sorted(set(PUBLIC) - unread)}"
+    )

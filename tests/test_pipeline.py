@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+import fsing.cli
 from conftest import mk
 from fsing import (
     CIdeal,
@@ -129,6 +130,9 @@ def test_parse_point():
         parse_point(F3, "0,1", 3)
     with pytest.raises(ValueError):
         parse_point(F3, "0,one,2", 3)
+    for out_of_range in ("0,3,2", "0,-1,2"):
+        with pytest.raises(ValueError, match=r"0\.\.2"):
+            parse_point(F3, out_of_range, 3)
 
 
 # --------------------------------------------------------------------------
@@ -476,6 +480,34 @@ def test_cli_square_negative_controls(tmp_path, capsys):
     assert "square-free" in err
 
 
+def test_cli_split_tripwire_dumps_to_stderr(tmp_path, capsys, monkeypatch):
+    # a square-free supported input without a splitting witness would
+    # contradict the theory: exit 1, no report, a JSON dump on stderr
+    monkeypatch.setattr(fsing.cli, "fsplit_witness", lambda f: None)
+    path = tmp_path / "quadric.poly"
+    path.write_text("p 2\nvars x y z w\npoly f: x*y + z*w\n")
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    dump = json.loads(captured.err)["dump"]
+    assert dump == {"e": 1, "q": 2, "poly": "x*y + z*w", "factors": ["x*y + z*w"]}
+
+
+def test_cli_crosscheck_discrepancy_is_a_counterexample(poly_file, capsys, monkeypatch):
+    # check and fpt render every crosscheck row and report any nonzero one
+    real = fsing.cli.fpt_crosscheck
+    monkeypatch.setattr(
+        fsing.cli, "fpt_crosscheck", lambda Q, e_list: [(s, d + 1) for s, d in real(Q, e_list)]
+    )
+    for argv, key in ((["check", poly_file, "--poly", "f"], "fpt"),
+                      (["fpt", poly_file, "--poly", "f"], "samples")):
+        assert main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "counterexample"
+        rows = report["results"]["polys"][0][key]
+        assert [row["discrepancy"] for row in rows] == [{"num": 1, "den": 1}] * 2
+
+
 def test_cli_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.poly"
     bad.write_text("p 6\nvars x\npoly f: x\n")
@@ -524,11 +556,15 @@ def test_cli_matroid(tmp_path, capsys):
         (["modify", "{poly}", "--g", "f", "--h", "h", "--s-max", "0"], "--s-max"),
         (["modify", "{poly}", "--g", "f", "--h", "h", "--max-points", "-1"],
          "--max-points"),
+        (["check", "{poly}", "--poly", "f", "--point", "9,0,0,0"], "0..1"),
+        (["modify", "{poly}", "--g", "f", "--h", "h", "--a", "0,0,-1,0"], "0..1"),
+        (["suite", "--p-list", ",2"], "--p-list"),
     ],
     ids=[
         "check", "fpt", "matroid", "modify", "suite", "check-seed", "basis-index",
         "suite-n", "suite-max-factors-0", "suite-max-factors-above-n", "suite-count",
         "check-s-max", "matroid-s-max", "modify-s-max", "modify-max-points",
+        "check-point-range", "modify-a-range", "suite-p-list",
     ],
 )
 def test_cli_usage_errors_exit_2(tmp_path, capsys, argv, named):

@@ -4,29 +4,24 @@ import random
 
 import pytest
 
-import fsing.structure
 from conftest import mk, oracle_factorization
 from fsing import (
     CIdeal,
     Poly,
     VarCtx,
     build_field,
-    degree_one_irreducibility,
     disjoint_factorization,
-    extension_stability_check,
-    gcd_sqfree,
     is_irreducible_sqfree,
     is_squarefree_supported,
     squarefree_offender,
 )
 from fsing.errors import (
-    DegreeRangeError,
     FsingError,
     NotSquareFreeSupportedError,
     TheoremContradictionError,
-    ZeroLeadingError,
     ZeroOrConstantError,
 )
+from fsing.field import level_field
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -230,89 +225,38 @@ def test_cideal_from_factors():
         CIdeal.from_factors([])
 
 
-def test_gcd_sqfree():
-    ctx = VarCtx(("x", "y", "z", "w", "u"))
-    xy = mk(F2, ctx, {(1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): 1})  # x + y
-    zw = mk(F2, ctx, {(0, 0, 1, 1, 0): 1, (0, 0, 0, 0, 1): 1})  # zw + u
-    other = mk(F2, ctx, {(0, 0, 1, 0, 0): 1})  # z
-    assert gcd_sqfree(xy * zw, xy * other) == xy
-    assert gcd_sqfree(xy * zw, other).is_constant()
-    assert gcd_sqfree(xy * zw, xy * zw) == xy * zw
-    one = Poly.constant(F2, ctx, 1)
-    assert gcd_sqfree(xy, one) == one
-    with pytest.raises(ZeroOrConstantError):
-        gcd_sqfree(Poly.zero(F2, ctx), xy)
-
-
-def test_degree_one_irreducibility():
-    ctx = VarCtx(("x", "y", "z", "w"))
-    xy = mk(F2, ctx, {(1, 1, 0, 0): 1})
-    zw = mk(F2, ctx, {(0, 0, 1, 1): 1})
-    x = mk(F2, ctx, {(1, 0, 0, 0): 1})
-    one = Poly.constant(F2, ctx, 1)
-    assert degree_one_irreducibility(x, one)  # x + y_new * 1
-    assert degree_one_irreducibility(xy, zw)  # disjoint supports
-    assert not degree_one_irreducibility(xy, x)  # common factor x
-    assert not degree_one_irreducibility(x, Poly.zero(F2, ctx))
-    assert degree_one_irreducibility(one, Poly.zero(F2, ctx))
-    with pytest.raises(ZeroLeadingError):
-        degree_one_irreducibility(Poly.zero(F2, ctx), x)
-
-
-def test_degree_one_matches_direct_factorization():
-    # g + y*h is irreducible exactly when the predicate says so
-    rng = random.Random(77)
-    ctx = VarCtx(("x", "y", "z"))
-    big = VarCtx(("x", "y", "z", "u"))
-    for _ in range(60):
-        terms_g = {
-            tuple(rng.randint(0, 1) for _ in range(3)): F2.one
-            for _ in range(rng.randint(1, 3))
-        }
-        terms_h = {
-            tuple(rng.randint(0, 1) for _ in range(3)): F2.one
-            for _ in range(rng.randint(1, 3))
-        }
-        g = Poly(F2, ctx, terms_g)
-        h = Poly(F2, ctx, terms_h)
-        if g.is_zero() or h.is_zero():
-            continue
-        combined = Poly(
-            F2,
-            big,
-            {e + (0,): c for e, c in g.terms.items()}
-        ) + Poly(F2, big, {e + (1,): c for e, c in h.terms.items()})
-        if squarefree_offender(combined) is not None:
-            continue
-        if combined.is_constant():
-            continue
-        assert degree_one_irreducibility(g, h) == is_irreducible_sqfree(combined)
+def _assert_stable_over(f, s):
+    # the embedded polynomial factors as the oracle says, into as many
+    # factors as over the base field
+    big = level_field(f.field, s)
+    g = f.embed(big)
+    Q = disjoint_factorization(g)
+    constant, factors = oracle_factorization(g)
+    assert Q.constant == constant
+    assert Q.factors == factors
+    assert Q.t == disjoint_factorization(f).t
 
 
 def test_extension_stability():
     ctx = VarCtx(("x", "y", "z", "w"))
     f = mk(F2, ctx, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1})
-    assert extension_stability_check(f, 2)
-    assert extension_stability_check(f, 3)
     prod = mk(F2, ctx, {(1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 1): 1})
-    assert extension_stability_check(prod, 2)
-    with pytest.raises(DegreeRangeError):
-        extension_stability_check(f, 5)
+    g = mk(F3, VarCtx(("x", "y", "z")), {(1, 1, 0): 2, (1, 0, 0): 1, (0, 0, 1): 1})
+    for poly in (f, prod, g):
+        for s in (2, 3):
+            _assert_stable_over(poly, s)
 
 
-def test_extension_stability_over_extension_field(monkeypatch):
+def test_extension_stability_over_extension_field():
     # s counts degrees over the coefficient field: F_4 at s = 2 is F_16
     F4 = build_field(2, 2)
-    f = mk(F4, VarCtx(("x", "y")), {(1, 1): 1, (1, 0): 1, (0, 1): 1})
-    seen = []
-    factorize = fsing.structure.disjoint_factorization
-
-    def recording(g):
-        seen.append(g.field)
-        return factorize(g)
-
-    monkeypatch.setattr(fsing.structure, "disjoint_factorization", recording)
-    assert extension_stability_check(f, 2)
-    assert seen == [F4, build_field(2, 4)]
-    with pytest.raises(DegreeRangeError):
-        extension_stability_check(f, 3)
+    ctx = VarCtx(("x", "y", "z"))
+    t, t1 = (0, 1), (1, 1)  # a generator t of F_4 and t + 1
+    f = mk(F4, ctx, {(1, 1, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1})
+    coupled = mk(F4, ctx, {(1, 0, 1): t, (1, 0, 0): t1, (0, 1, 1): 1, (0, 1, 0): 1})
+    prod = mk(F4, ctx, {(1, 0, 1): 1, (1, 0, 0): t1, (0, 1, 1): t, (0, 1, 0): 1})
+    assert disjoint_factorization(prod).t == 2  # (x + t*y)(z + t + 1)
+    for poly in (f, coupled, prod):
+        _assert_stable_over(poly, 2)
+    assert level_field(F4, 2) == build_field(2, 4)
+    assert level_field(F4, 3) is None  # F_64 is past the supported degree 4
