@@ -55,6 +55,9 @@ from .structure import disjoint_factorization, squarefree_offender
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
+# suite lists every subset of a factor's variable block before it draws
+# the factor's terms, so its time and memory double with each variable
+SUITE_MAX_N = 16
 
 
 def _field_info(field):
@@ -343,8 +346,8 @@ def _cmd_modify(args) -> int:
 def _cmd_suite(args) -> int:
     if args.count < 1:
         raise FsingError(f"--count must be at least 1, got {args.count}")
-    if args.n < 2:
-        raise FsingError(f"--n must be at least 2, got {args.n}")
+    if not 2 <= args.n <= SUITE_MAX_N:
+        raise FsingError(f"--n must lie in 2..{SUITE_MAX_N}, got {args.n}")
     if not 1 <= args.max_factors <= args.n:
         raise FsingError(
             f"--max-factors must be between 1 and --n = {args.n}, got {args.max_factors}"
@@ -387,7 +390,7 @@ def _cmd_suite(args) -> int:
 # --------------------------------------------------------------------------
 
 def _positive_int(text):
-    """argparse type for exponents, levels and point budgets: an integer >= 1."""
+    """argparse type for exponents, levels, budgets and term counts: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -460,7 +463,7 @@ def _build_parser():
     st.add_argument("--count", type=int, default=200)
     st.add_argument("--p-list", default="2,3,5", dest="p_list")
     st.add_argument("--n", type=int, default=8)
-    st.add_argument("--max-terms", type=int, default=8, dest="max_terms")
+    st.add_argument("--max-terms", type=_positive_int, default=8, dest="max_terms")
     st.add_argument("--max-factors", type=int, default=3, dest="max_factors")
     st.add_argument("--seed", type=int, default=0,
                     help="seed of the random sample stream (default 0)")

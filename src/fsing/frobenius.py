@@ -31,8 +31,19 @@ digit tuples give distinct monomials, so nothing cancels, and no
 exponent reaches q, so nothing hits the bracket.  Hence supp f^(q-1) is
 the digit product of e copies of supp f^(p-1), and its least total
 degree is (q-1)/(p-1) times the least total degree on supp f^(p-1).
-Input that is not square-free supported, such as a shifted polynomial
-in the modification point checks, reduces f^(q-1) itself at every e.
+
+Threshold samples of other input, such as a shifted polynomial in the
+modification point checks, are read off the initial form (the
+initial-form lemma).  Let d be the order of f at the origin and in(f)
+its part of degree d.  Every monomial of f^(q-1) has degree at least
+d(q-1), and the part of degree d(q-1) is in(f)^(q-1), nonzero because
+the polynomial ring is a domain.  Reduction modulo the monomial ideal
+(x_i^q) keeps or drops each monomial on its own, so it respects total
+degree: when in(f)^(q-1) survives the bracket, its survivors are the
+survivors of least degree d(q-1), and b = (n - d)(q - 1), that is
+lambda(e) = n - d.  Conversely lambda(e) = n - d forces a survivor of
+degree d(q-1), a term of in(f)^(q-1).  Only when in(f)^(q-1) dies is
+f^(q-1) itself reduced, and then lambda(e) < n - d.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ from .poly import (
     frobenius_q,
     multiply_monomial_truncated,
 )
-from .structure import CIdeal, squarefree_offender
+from .structure import CIdeal, is_squarefree_supported
 
 
 @dataclass(frozen=True)
@@ -287,13 +298,14 @@ def _threshold_samples(f: Poly, e_list):
 
     Square-free supported f reduces one f^(p-1) for every e (the digit
     lemma in the module docstring), so p^e may exceed the kernel's 16-bit
-    exponent range; other input reduces f^(p^e-1) per e.
+    exponent range; other input reduces in(f)^(p^e-1) per e, and
+    f^(p^e-1) only where that dies (the initial-form lemma).
     """
     if f.is_zero():
         raise ZeroInputError("threshold sample of the zero polynomial")
     fld = f.field
     n = f.vars.n
-    digits = squarefree_offender(f) is None
+    digits = is_squarefree_supported(f)
     low = None  # least total degree on supp f^(p-1), once a sample needs it
     for e in e_list:
         if digits:
@@ -303,7 +315,11 @@ def _threshold_samples(f: Poly, e_list):
             b = n * (q - 1) - (q - 1) // (fld.p - 1) * low
         else:
             q = bracket_exponent(fld, e)
-            reduced = frobenius_power_mod_bracket(f, e)
+            # initial-form lemma: survivors of in(f)^(q-1), when there are
+            # any, are the survivors of least degree
+            reduced = frobenius_power_mod_bracket(f.order_and_initial()[1], e)
+            if reduced.is_zero():
+                reduced = frobenius_power_mod_bracket(f, e)
             if reduced.is_zero():
                 yield None
                 continue
@@ -320,6 +336,8 @@ def fpt_sample_poly(f: Poly, e: int):
     maximal coordinate slack n(q-1) - |w| of the survivors.  For
     square-free supported f every monomial of f^(q-1) survives, and b is
     read off f^(p-1) alone as n(q-1) - (q-1)/(p-1) * min |a| over
-    supp f^(p-1), at every e; other input reduces f^(q-1) itself.
+    supp f^(p-1), at every e.  For other input of order d, b is
+    (n - d)(q - 1) exactly when the initial form's in(f)^(q-1) survives
+    the bracket; only when it dies is f^(q-1) itself reduced.
     """
     return next(_threshold_samples(f, (e,)))

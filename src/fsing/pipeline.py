@@ -330,10 +330,14 @@ def hypersurface_point_checks(
     where possible (:func:`fsing.invariants.order_finder`).
 
     Each check record holds the threshold samples at e = 1 and e = 2.
-    Returns (max multiplicity seen, list of per-point check records,
-    budget flag).  The threshold identity is exact for every point by
-    the supporting theory, so each record carries an ok bit instead of
-    a tolerance.
+    A shifted polynomial that is not square-free supported has them read
+    off its initial form in(f), not off the whole shifted polynomial
+    (the initial-form lemma in :mod:`fsing.frobenius`), so the ok bit
+    holds exactly when in(f)^(q-1) survives the bracket (x_i^q), which
+    is lam(e) = n - ord.  Returns (max multiplicity seen, list of
+    per-point check records, budget flag).  The threshold identity is
+    exact for every point by the supporting theory, so each record
+    carries an ok bit instead of a tolerance.
     """
     n = f.vars.n
     base = f.field

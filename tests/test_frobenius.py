@@ -1,11 +1,14 @@
 """Splitting witnesses, localization certificates, threshold samples."""
 
+import itertools
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 import fsing.frobenius
+import fsing.pipeline
 
 from conftest import mk, naive_kernel
 from fsing import (
@@ -23,7 +26,11 @@ from fsing import (
     fpt_sample_poly,
     frobenius_power_mod_bracket,
     fsplit_witness,
+    modification_build,
     multiply_monomial_truncated,
+    parse_point,
+    parse_poly_file,
+    squarefree_offender,
     verify_regularity_certificate,
     verify_split_witness,
 )
@@ -292,17 +299,116 @@ def test_fpt_sample_digit_path_matches_full_expansion(p, s, n_max, e):
         assert fpt_sample_poly(g, e) == _sample_by_definition(g, e)
 
 
-def test_crosscheck_reduces_only_the_first_power(monkeypatch):
+def _modify_shaped(fld, ctx, rng):
+    """g*l + h as modify builds it, l = 1 + sum a_i x_i with seeded a_i."""
+    n = ctx.n
+    g = mk(fld, ctx, {(1, 1) + (0,) * (n - 2): 1, (0, 0) + (1,) * (n - 2): 1})
+    h = mk(fld, ctx, {(1, 0) + (1,) * (n - 2): 1})
+    ell = Poly.constant(fld, ctx, 1)
+    for i in range(n):
+        ell = ell + Poly.variable(fld, ctx, i).scale(fld.decode(rng.randrange(fld.order)))
+    return g * ell + h
+
+
+@pytest.mark.parametrize(
+    "p, s, n", [(2, 1, 4), (3, 1, 4), (2, 2, 4), (3, 2, 3)], ids=["F2", "F3", "F4", "F9"]
+)
+def test_fpt_sample_at_zeros_matches_full_expansion(p, s, n):
+    # shifted polynomials at zeros are what the modify point checks sample;
+    # the initial-form lemma must give the fully expanded power's samples
+    # at smooth and at singular zeros alike
+    fld = build_field(p, s)
+    ctx = VarCtx(("x", "y", "z", "w")[:n])
+    rng = random.Random(100 * p + s)
+    f = _modify_shaped(fld, ctx, rng)
+    elements = [fld.decode(k) for k in range(fld.order)]
+    singular, smooth = [], []
+    for point in itertools.product(elements, repeat=n):
+        if f.evaluate(point) == fld.zero:
+            shifted = f.shift(point)
+            (singular if shifted.order_and_initial()[0] >= 2 else smooth).append(shifted)
+    assert singular and smooth  # the origin is singular
+    sampled = singular[:4] + smooth[:4]
+    assert any(squarefree_offender(g) is not None for g in sampled)
+    for shifted in sampled:
+        for e in (1, 2):
+            assert fpt_sample_poly(shifted, e) == _sample_by_definition(shifted, e)
+
+
+def _recording_kernel(monkeypatch):
     kernel = fsing.frobenius.frobenius_power_mod_bracket
     calls = []
 
     def recording(f, e):
-        calls.append(e)
+        calls.append((f, e))
         return kernel(f, e)
 
     monkeypatch.setattr(fsing.frobenius, "frobenius_power_mod_bracket", recording)
+    return calls
+
+
+def test_fpt_sample_falls_back_when_the_initial_power_vanishes(monkeypatch):
+    # in(f) = x^2 dies in the bracket at e = 1, 2, so only f^(q-1) itself
+    # decides: x^2 + x*y*z keeps (x*y*z)^(q-1) with no slack, x^2 keeps nothing
+    ctx = VarCtx(("x", "y", "z"))
+    calls = _recording_kernel(monkeypatch)
+    f = mk(F2, ctx, {(2, 0, 0): 1, (1, 1, 1): 1})
+    initial = mk(F2, ctx, {(2, 0, 0): 1})
+    for e in (1, 2):
+        calls.clear()
+        sample = fpt_sample_poly(f, e)
+        assert sample == _sample_by_definition(f, e)
+        assert sample.b == 0 and sample.lam == 0
+        assert calls == [(initial, e), (f, e)]
+        assert fpt_sample_poly(initial, e) is None
+        assert _sample_by_definition(initial, e) is None
+
+
+PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned")
+
+
+@pytest.mark.parametrize(
+    "name, a, s_max, max_points",
+    [("modify", "1,1,0,1", 3, 1), ("modify20-f2", "1,0,0,0", 2, 20),
+     ("modify20-f3", "1,0,0,0", 2, 20)],
+    ids=["modify", "modify20-f2", "modify20-f3"],
+)
+def test_point_checks_reduce_only_initial_forms(monkeypatch, name, a, s_max, max_points):
+    # the pinned modify inputs: every shifted polynomial that is not
+    # square-free supported reaches the kernel only as its initial form,
+    # so the full shifted power is never reduced
+    parsed = parse_poly_file(os.path.join(PINNED, f"{name}.poly"))
+    coeffs = parse_point(parsed.field, a, parsed.varctx.n)
+    calls = _recording_kernel(monkeypatch)
+    sample = fsing.pipeline.fpt_sample_poly
+    sampled = []
+
+    def recording_sample(f, e):
+        start = len(calls)
+        out = sample(f, e)
+        sampled.append((f, e, calls[start:]))
+        return out
+
+    monkeypatch.setattr(fsing.pipeline, "fpt_sample_poly", recording_sample)
+    result = modification_build(parsed.polys["g"], parsed.polys["h"], coeffs,
+                                s_max=s_max, max_points=max_points)
+    assert len(result.point_checks) == max_points
+    assert len(sampled) == 2 * max_points
+    initial_forms = 0
+    for shifted, e, made in sampled:
+        if squarefree_offender(shifted) is None:
+            assert made == [(shifted, 1)]  # the digit path
+        else:
+            initial_forms += 1
+            assert made == [(shifted.order_and_initial()[1], e)]
+            assert len({sum(w) for w in made[0][0].terms}) == 1
+    assert initial_forms
+
+
+def test_crosscheck_reduces_only_the_first_power(monkeypatch):
+    calls = _recording_kernel(monkeypatch)
     out = fpt_crosscheck(two_quadrics(), (1, 2, 3))
-    assert calls == [1]
+    assert [e for _, e in calls] == [1]
     assert [sample.e for sample, _ in out] == [1, 2, 3]
     assert all(diff == 0 for _, diff in out)
 

@@ -21,7 +21,6 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # Definitions no package module reads, each with the reason it stays.
 PUBLIC = {
     "verify_split_witness": "replays a split witness; the planned report verifier calls it",
-    "is_squarefree_supported": "the boolean form of squarefree_offender for library callers",
 }
 
 

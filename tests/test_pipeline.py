@@ -548,6 +548,8 @@ def test_cli_matroid(tmp_path, capsys):
         (["check", "{poly}", "--seed", "3"], "--seed"),
         (["matroid", "{bad_matroid}"], "basis index"),
         (["suite", "--count", "1", "--n", "1"], "--n"),
+        (["suite", "--count", "1", "--n", "17"], "2..16"),
+        (["suite", "--count", "1", "--max-terms", "0"], "--max-terms"),
         (["suite", "--count", "1", "--max-factors", "0"], "--max-factors"),
         (["suite", "--count", "1", "--n", "2", "--max-factors", "3"], "--max-factors"),
         (["suite", "--count", "-1"], "--count"),
@@ -562,7 +564,8 @@ def test_cli_matroid(tmp_path, capsys):
     ],
     ids=[
         "check", "fpt", "matroid", "modify", "suite", "check-seed", "basis-index",
-        "suite-n", "suite-max-factors-0", "suite-max-factors-above-n", "suite-count",
+        "suite-n", "suite-n-range", "suite-max-terms", "suite-max-factors-0",
+        "suite-max-factors-above-n", "suite-count",
         "check-s-max", "matroid-s-max", "modify-s-max", "modify-max-points",
         "check-point-range", "modify-a-range", "suite-p-list",
     ],
@@ -613,13 +616,20 @@ PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned")
         ("three", ["check", "three.poly", "--s-max", "2"]),
         ("modify", ["modify", "modify.poly", "--g", "g", "--h", "h", "--a", "1,1,0,1",
                     "--s-max", "3", "--max-points", "1"]),
+        ("modify20-f2", ["modify", "modify20-f2.poly", "--g", "g", "--h", "h",
+                         "--a", "1,0,0,0", "--s-max", "2"]),
+        ("modify20-f3", ["modify", "modify20-f3.poly", "--g", "g", "--h", "h",
+                         "--a", "1,0,0,0", "--s-max", "2"]),
     ],
-    ids=["chain4", "chain5", "ext2", "three", "modify"],
+    ids=["chain4", "chain5", "ext2", "three", "modify", "modify20-f2", "modify20-f3"],
 )
 def test_cli_point_search_reports_pinned(monkeypatch, capsys, name, argv):
     # tests/pinned/NAME.json holds the report of the exhaustive grid loop that
     # evaluated and shifted at every point; the zero walker, first-partials
-    # orders and subfield skipping must reproduce it byte for byte
+    # orders and subfield skipping must reproduce it byte for byte.  The
+    # modify20 reports, 20 checked points each, were taken while every
+    # threshold sample still reduced the whole shifted power; samples read
+    # off the initial form must reproduce them too
     monkeypatch.chdir(PINNED)
     assert main(argv) == 0
     with open(f"{name}.json", encoding="utf-8") as handle:
