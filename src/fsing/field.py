@@ -13,13 +13,25 @@ by their coefficient sequence, higher-degree coefficients most
 significant.  Irreducibility is certified by trial division against
 every monic polynomial of degree at most s/2.
 
-Elements stay tuples throughout, but for s > 1 and p^s <= 2^16 the
-multiplicative operations (mul, pow, inv) go through log/antilog tables
-over the powers of a fixed generator, filled once at construction by
-multiplying out polynomials modulo the modulus; larger extensions keep
-that polynomial multiplication per call.  Prime fields use direct
-modular arithmetic, and addition is coordinate-wise everywhere.  A tuple
-that is not a reduced element of the field raises FieldMismatchError.
+Elements stay tuples throughout.  Arithmetic takes one of three paths,
+fixed by the field at construction:
+
+- Extensions with s > 1 and p^s <= 2^16 fill log/antilog tables over the
+  powers of a fixed generator g at construction, by multiplying out
+  polynomials modulo the modulus.  mul, pow and inv add, scale or negate
+  logarithms.  add uses the Zech logarithm Z(k) = log(1 + g^k): for
+  nonzero a and b, a + b = a * (1 + b/a), so log(a + b) = log a +
+  Z(log b - log a), with no Z where 1 + g^k = 0, that is b = -a.  neg
+  adds log(-1), which is (q-1)/2 for odd p and 0 for p = 2, and sub adds
+  -b.  Each operation looks its operands up in the logarithm table, so
+  a tuple that is not a reduced element of the field (a foreign arity,
+  an unreduced or negative residue) raises FieldMismatchError.
+- Prime fields use direct modular arithmetic on the single residue.  They
+  build no tables, which at p = 65521 would take about 0.3 s and 10 MB
+  for what one modular operation already does, and they check the arity
+  only.
+- Extensions past 2^16, such as F_{257^2}, keep coordinate-wise addition
+  and polynomial multiplication per call.  They check the arity only.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from itertools import product
 from .errors import DegreeRangeError, FieldMismatchError, NotPrimeError
 
 MAX_CHAR = 1 << 16
+_FOREIGN = "scalar does not belong to this field"
 
 
 def is_prime(n: int) -> bool:
@@ -138,7 +151,10 @@ def embedding_basis(small: "Field", big: "Field"):
 class Field:
     """Arithmetic context for F_{p^s}; see the module docstring."""
 
-    __slots__ = ("p", "s", "order", "modulus", "zero", "one", "_reduction", "_exp", "_log")
+    __slots__ = (
+        "p", "s", "order", "modulus", "zero", "one",
+        "_reduction", "_exp", "_log", "_zech", "_log_neg_one",
+    )
 
     def __init__(self, p: int, s: int = 1):
         if not isinstance(p, int) or not is_prime(p) or p >= MAX_CHAR:
@@ -152,7 +168,7 @@ class Field:
         self.zero = (0,) * s
         self.one = (1,) + (0,) * (s - 1)
         self._reduction = self._build_reduction() if s > 1 else None
-        self._exp = self._log = None
+        self._exp = self._log = self._zech = self._log_neg_one = None
         if s > 1 and self.order <= MAX_CHAR:
             self._build_tables()
 
@@ -176,8 +192,10 @@ class Field:
         # (pow still runs by repeated squaring here).  _exp lists g^0 ..
         # g^(q-2) twice, so mul indexes it by a sum of two logarithms
         # without a modulo; zero's logarithm is -q, which keeps every sum
-        # with it negative.
-        q = self.order
+        # with it negative.  _zech[k] is the Zech logarithm log(1 + g^k),
+        # None where 1 + g^k = 0, and _log_neg_one is log(-1): (q-1)/2 for
+        # odd p, 0 for p = 2.
+        p, q = self.p, self.order
         cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
         g = next(
             a for a in map(self.decode, range(1, q))
@@ -187,8 +205,11 @@ class Field:
         for _ in range(q - 2):
             powers.append(self._convolve(powers[-1], g))
         self._exp = powers + powers
-        self._log = {a: k for k, a in enumerate(powers)}
-        self._log[self.zero] = -q
+        log = self._log = {a: k for k, a in enumerate(powers)}
+        log[self.zero] = -q
+        neg_one = self._log_neg_one = log[self.scalar(-1)]
+        self._zech = [log[((a[0] + 1) % p,) + a[1:]] for a in powers]
+        self._zech[neg_one] = None  # 1 + g^k = 0 exactly at g^k = -1
 
     # -- element construction ------------------------------------------
 
@@ -218,38 +239,104 @@ class Field:
         return (c[::-1] for c in product(range(self.p), repeat=self.s))
 
     # -- arithmetic ----------------------------------------------------
-
-    def _check(self, a, b):
-        if len(a) != self.s or len(b) != self.s:
-            raise FieldMismatchError("scalar does not belong to this field")
+    #
+    # Each of add, sub, neg, mul, pow and inv runs its whole computation
+    # inline and calls none of the others, so one call does one operation.
+    # Table fields validate through the _log lookup; prime fields and
+    # extensions past 2^16 check the arity only.
 
     def add(self, a, b):
-        self._check(a, b)
+        log = self._log
+        if log is not None:
+            try:
+                i = log[a]
+                j = log[b]
+            except KeyError:
+                raise FieldMismatchError(_FOREIGN) from None
+            if i < 0:
+                return self._exp[j] if j >= 0 else self.zero
+            if j < 0:
+                return self._exp[i]
+            # a + b = a * (1 + b/a); j - i lies in -(q-2)..q-2, and a
+            # negative index wraps modulo len(_zech) = q - 1
+            z = self._zech[j - i]
+            return self.zero if z is None else self._exp[i + z]
+        if self.s == 1:
+            try:
+                (x,), (y,) = a, b
+            except ValueError:
+                raise FieldMismatchError(_FOREIGN) from None
+            return ((x + y) % self.p,)
+        if len(a) != self.s or len(b) != self.s:
+            raise FieldMismatchError(_FOREIGN)
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def sub(self, a, b):
-        self._check(a, b)
+        log = self._log
+        if log is not None:
+            try:
+                i = log[a]
+                j = log[b]
+            except KeyError:
+                raise FieldMismatchError(_FOREIGN) from None
+            if j < 0:
+                return self._exp[i] if i >= 0 else self.zero
+            # log(-b) = j + log(-1) modulo q - 1, and 2 log(-1) = 0 there
+            h = self._log_neg_one
+            j = j - h if j >= h else j + h
+            if i < 0:
+                return self._exp[j]
+            z = self._zech[j - i]
+            return self.zero if z is None else self._exp[i + z]
+        if self.s == 1:
+            try:
+                (x,), (y,) = a, b
+            except ValueError:
+                raise FieldMismatchError(_FOREIGN) from None
+            return ((x - y) % self.p,)
+        if len(a) != self.s or len(b) != self.s:
+            raise FieldMismatchError(_FOREIGN)
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
 
     def neg(self, a):
+        log = self._log
+        if log is not None:
+            try:
+                i = log[a]
+            except KeyError:
+                raise FieldMismatchError(_FOREIGN) from None
+            # i + log(-1) <= (q-2) + (q-1)/2, inside the doubled _exp
+            return self._exp[i + self._log_neg_one] if i >= 0 else self.zero
+        if self.s == 1:
+            try:
+                (x,) = a
+            except ValueError:
+                raise FieldMismatchError(_FOREIGN) from None
+            return ((-x) % self.p,)
+        if len(a) != self.s:
+            raise FieldMismatchError(_FOREIGN)
         p = self.p
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
-        if self.s == 1:
-            self._check(a, b)
-            return ((a[0] * b[0]) % self.p,)
         log = self._log
-        if log is None:
-            self._check(a, b)
-            return self._convolve(a, b)
-        try:
-            k = log[a] + log[b]
-        except KeyError:
-            raise FieldMismatchError("scalar does not belong to this field") from None
-        return self._exp[k] if k >= 0 else self.zero
+        if log is not None:
+            try:
+                k = log[a] + log[b]
+            except KeyError:
+                raise FieldMismatchError(_FOREIGN) from None
+            return self._exp[k] if k >= 0 else self.zero
+        if self.s == 1:
+            try:
+                (x,), (y,) = a, b
+            except ValueError:
+                raise FieldMismatchError(_FOREIGN) from None
+            return ((x * y) % self.p,)
+        if len(a) != self.s or len(b) != self.s:
+            raise FieldMismatchError(_FOREIGN)
+        return self._convolve(a, b)
 
     def _convolve(self, a, b):
         """Product of two elements of an extension field by polynomial
@@ -269,40 +356,52 @@ class Field:
                     out[i] = (out[i] + c * row[i]) % p
         return tuple(out)
 
+    def _convolve_pow(self, a, k: int):
+        """a^k for k >= 0 by repeated squaring over _convolve."""
+        result = self.one
+        while k:
+            if k & 1:
+                result = self._convolve(result, a)
+            a = self._convolve(a, a)
+            k >>= 1
+        return result
+
     def pow(self, a, k: int):
         log = self._log
         if log is not None:
             try:
                 i = log[a]
             except KeyError:
-                raise FieldMismatchError("scalar does not belong to this field") from None
+                raise FieldMismatchError(_FOREIGN) from None
             if i >= 0:
                 return self._exp[i * k % (self.order - 1)]
             if k < 0:
                 raise ZeroDivisionError("inverse of zero")
             return self.one if k == 0 else self.zero
+        if len(a) != self.s:
+            raise FieldMismatchError(_FOREIGN)
         if k < 0:
-            return self.pow(self.inv(a), -k)
-        result = self.one
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+            if a == self.zero:
+                raise ZeroDivisionError("inverse of zero")
+            k = k % (self.order - 1)
+        if self.s == 1:
+            return (pow(a[0], k, self.p),)
+        return self._convolve_pow(a, k)
 
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
+        log = self._log
+        if log is not None:
+            try:
+                return self._exp[self.order - 1 - log[a]]
+            except KeyError:
+                raise FieldMismatchError(_FOREIGN) from None
+        if len(a) != self.s:
+            raise FieldMismatchError(_FOREIGN)
         if self.s == 1:
             return (pow(a[0], self.p - 2, self.p),)
-        if self._log is None:
-            return self.pow(a, self.order - 2)
-        try:
-            return self._exp[self.order - 1 - self._log[a]]
-        except KeyError:
-            raise FieldMismatchError("scalar does not belong to this field") from None
+        return self._convolve_pow(a, self.order - 2)
 
     def frobenius(self, a):
         """The p-power map, a field automorphism fixing the prime subfield."""

@@ -306,6 +306,7 @@ def _threshold_samples(f: Poly, e_list):
     fld = f.field
     n = f.vars.n
     digits = is_squarefree_supported(f)
+    initial = None if digits else f.order_and_initial()[1]
     low = None  # least total degree on supp f^(p-1), once a sample needs it
     for e in e_list:
         if digits:
@@ -317,7 +318,7 @@ def _threshold_samples(f: Poly, e_list):
             q = bracket_exponent(fld, e)
             # initial-form lemma: survivors of in(f)^(q-1), when there are
             # any, are the survivors of least degree
-            reduced = frobenius_power_mod_bracket(f.order_and_initial()[1], e)
+            reduced = frobenius_power_mod_bracket(initial, e)
             if reduced.is_zero():
                 reduced = frobenius_power_mod_bracket(f, e)
             if reduced.is_zero():

@@ -24,8 +24,8 @@ from .errors import (
 )
 from .field import Field, build_field, level_field
 from .frobenius import (
+    _threshold_samples,
     build_regularity_certificate,
-    fpt_sample_poly,
     fsplit_witness,
     verify_regularity_certificate,
 )
@@ -39,6 +39,10 @@ from .structure import (
 )
 
 REJECTION_CAP = 10**4
+# _random_factor lists every subset of a factor's variable block before
+# it draws the factor's terms, so its time and memory double with each
+# variable; random_sqfree and the suite refuse n above this
+SUITE_MAX_N = 16
 
 
 # --------------------------------------------------------------------------
@@ -72,8 +76,11 @@ def random_sqfree(field: Field, n: int, max_terms: int, t: int, seed: int = 0) -
 
     Every support monomial has positive degree, so the result vanishes
     at the origin.  Raises ValueError when t factors cannot fit in n
-    variables and BudgetExceededError when rejection sampling stalls.
+    variables or n exceeds SUITE_MAX_N, and BudgetExceededError when
+    rejection sampling stalls.
     """
+    if n > SUITE_MAX_N:
+        raise ValueError(f"at most {SUITE_MAX_N} variables, got {n}")
     if t < 1:
         raise ValueError("factor count must be positive")
     if t > n:
@@ -222,8 +229,11 @@ def theorem_suite(config: SuiteConfig):
 
     Returns (results block, status).  The caller wraps both into a full
     report; status is pass unless a sample fails, in which case a
-    minimized reproducer is attached to the failures list.
+    minimized reproducer is attached to the failures list.  Raises
+    ValueError, before any sample, when config.n exceeds SUITE_MAX_N.
     """
+    if config.n > SUITE_MAX_N:
+        raise ValueError(f"at most {SUITE_MAX_N} variables, got {config.n}")
     samples = []
     failures = []
     skipped = []
@@ -363,8 +373,7 @@ def hypersurface_point_checks(
                 "point": [big.encode(a) for a in point],
                 "s": s, "ord": ordv, "samples": [], "ok": True,
             }
-            for e in (1, 2):
-                sample = fpt_sample_poly(shifted, e)
+            for e, sample in zip((1, 2), _threshold_samples(shifted, (1, 2))):
                 if sample is None or sample.lam != Fraction(n - ordv):
                     entry["ok"] = False
                 if sample is not None:

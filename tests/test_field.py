@@ -221,6 +221,84 @@ def test_tables_match_convolution_random(p, s):
         assert_table_ops_match_convolution(fld, a, b, rng.randrange(3 * fld.order))
 
 
+def assert_additive_ops_match_coordinates(fld, a, b):
+    p = fld.p
+    assert fld.add(a, b) == tuple((x + y) % p for x, y in zip(a, b))
+    assert fld.sub(a, b) == tuple((x - y) % p for x, y in zip(a, b))
+    assert fld.neg(a) == tuple(-x % p for x in a)
+    assert fld.add(a, fld.neg(a)) == fld.zero
+    assert fld.sub(a, a) == fld.zero
+
+
+@pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (3, 4)])
+def test_zech_addition_matches_coordinates_exhaustive(p, s):
+    fld = build_field(p, s)
+    assert fld._zech is not None
+    elems = list(fld.elements())
+    for a in elems:
+        for b in elems:
+            assert_additive_ops_match_coordinates(fld, a, b)
+
+
+@pytest.mark.parametrize("p,s", [(5, 4), (251, 2)])
+def test_zech_addition_matches_coordinates_random(p, s):
+    fld = build_field(p, s)
+    rng = random.Random(p * 10 + s)
+    for _ in range(3000):
+        a, b = (fld.decode(rng.randrange(fld.order)) for _ in range(2))
+        assert_additive_ops_match_coordinates(fld, a, b)
+        assert_additive_ops_match_coordinates(fld, a, fld.zero)
+        assert_additive_ops_match_coordinates(fld, fld.zero, b)
+
+
+@pytest.mark.parametrize("p,s", [(2, 2), (3, 2), (2, 4), (5, 2), (7, 3), (251, 2)])
+def test_zech_table_is_the_log_of_one_plus_a_power(p, s):
+    fld = build_field(p, s)
+    q = fld.order
+    assert len(fld._zech) == q - 1
+    assert fld._log_neg_one == (0 if p == 2 else (q - 1) // 2)
+    assert fld._exp[fld._log_neg_one] == fld.scalar(-1)
+    for k, z in enumerate(fld._zech):
+        one_plus = ((fld._exp[k][0] + 1) % p,) + fld._exp[k][1:]
+        if one_plus == fld.zero:
+            assert z is None and k == fld._log_neg_one
+        else:
+            assert z == fld._log[one_plus]
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (5, 1), (65521, 1), (257, 2)])
+def test_prime_fields_and_large_extensions_keep_their_paths(p, s):
+    # no tables: prime fields use residue arithmetic, F_{257^2} lies past
+    # 2^16 and adds coordinatewise; both check the arity only
+    fld = build_field(p, s)
+    assert fld._log is fld._exp is fld._zech is fld._log_neg_one is None
+    rng = random.Random(p + s)
+    for _ in range(200):
+        a, b = (fld.decode(rng.randrange(fld.order)) for _ in range(2))
+        assert_additive_ops_match_coordinates(fld, a, b)
+        k = rng.randrange(-3 * fld.order, 3 * fld.order)
+        if s == 1:
+            assert fld.mul(a, b) == ((a[0] * b[0]) % p,)
+            if a != fld.zero or k >= 0:
+                assert fld.pow(a, k) == (pow(a[0], k, p),)
+        else:
+            assert fld.mul(a, b) == fld._convolve(a, b)
+            if a != fld.zero:
+                assert fld.pow(a, abs(k)) == convolution_pow(fld, a, abs(k))
+                assert fld._convolve(fld.pow(a, -abs(k)), fld.pow(a, abs(k))) == fld.one
+    wrong = fld.zero + (0,)
+    for call in (
+        lambda: fld.add(wrong, fld.one),
+        lambda: fld.sub(fld.one, wrong),
+        lambda: fld.neg(wrong),
+        lambda: fld.mul(fld.one, wrong),
+        lambda: fld.pow(wrong, 2),
+        lambda: fld.inv(wrong),
+    ):
+        with pytest.raises(FieldMismatchError):
+            call()
+
+
 @pytest.mark.parametrize("p,s", [(3, 1), (3, 2), (257, 2)])
 def test_pow_and_inv_of_zero(p, s):
     # F_{257^2} lies past 2^16 and keeps the convolution path
@@ -238,6 +316,12 @@ def test_pow_and_inv_of_zero(p, s):
 def test_table_ops_reject_foreign_tuples(bad):
     F9 = build_field(3, 2)
     for call in (
+        lambda: F9.add(bad, F9.one),
+        lambda: F9.add(F9.one, bad),
+        lambda: F9.add(bad, F9.zero),
+        lambda: F9.sub(bad, F9.one),
+        lambda: F9.sub(F9.zero, bad),
+        lambda: F9.neg(bad),
         lambda: F9.mul(bad, F9.one),
         lambda: F9.mul(F9.one, bad),
         lambda: F9.pow(bad, 2),

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 import fsing.frobenius
-import fsing.pipeline
 
 from conftest import mk, naive_kernel
 from fsing import (
@@ -34,6 +33,7 @@ from fsing import (
     verify_regularity_certificate,
     verify_split_witness,
 )
+from fsing.field import level_field
 from fsing.errors import (
     CertificateSearchExhausted,
     ExponentOverflowError,
@@ -376,33 +376,33 @@ PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned")
 def test_point_checks_reduce_only_initial_forms(monkeypatch, name, a, s_max, max_points):
     # the pinned modify inputs: every shifted polynomial that is not
     # square-free supported reaches the kernel only as its initial form,
-    # so the full shifted power is never reduced
+    # once per e, so the full shifted power is never reduced
     parsed = parse_poly_file(os.path.join(PINNED, f"{name}.poly"))
     coeffs = parse_point(parsed.field, a, parsed.varctx.n)
     calls = _recording_kernel(monkeypatch)
-    sample = fsing.pipeline.fpt_sample_poly
-    sampled = []
-
-    def recording_sample(f, e):
-        start = len(calls)
-        out = sample(f, e)
-        sampled.append((f, e, calls[start:]))
-        return out
-
-    monkeypatch.setattr(fsing.pipeline, "fpt_sample_poly", recording_sample)
     result = modification_build(parsed.polys["g"], parsed.polys["h"], coeffs,
                                 s_max=s_max, max_points=max_points)
     assert len(result.point_checks) == max_points
-    assert len(sampled) == 2 * max_points
+    # the checked points come last; recompute their shifted polynomials
+    expected = []
     initial_forms = 0
-    for shifted, e, made in sampled:
+    for check in result.point_checks:
+        big = level_field(parsed.field, check["s"])
+        point = tuple(big.decode(k) for k in check["point"])
+        shifted = result.f.embed(big).shift(point)
         if squarefree_offender(shifted) is None:
-            assert made == [(shifted, 1)]  # the digit path
+            expected.append((shifted, 1))  # the digit path
         else:
             initial_forms += 1
-            assert made == [(shifted.order_and_initial()[1], e)]
-            assert len({sum(w) for w in made[0][0].terms}) == 1
+            initial = shifted.order_and_initial()[1]
+            assert len({sum(w) for w in initial.terms}) == 1
+            expected += [(initial, 1), (initial, 2)]
     assert initial_forms
+    assert calls[len(calls) - len(expected):] == expected
+    # before them, only the square-free supported model is reduced
+    assert all(
+        squarefree_offender(g) is None for g, _ in calls[:len(calls) - len(expected)]
+    )
 
 
 def test_crosscheck_reduces_only_the_first_power(monkeypatch):

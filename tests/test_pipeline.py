@@ -3,11 +3,14 @@
 import json
 import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
 import fsing.cli
+import fsing.pipeline
 from conftest import mk
 from fsing import (
     CIdeal,
@@ -228,6 +231,22 @@ def test_random_sqfree_pigeonhole():
         random_sqfree(F2, 3, 8, 4)
     with pytest.raises(ValueError):
         random_sqfree(F2, 3, 8, 0)
+
+
+def test_random_sqfree_bounds_n(monkeypatch):
+    # _random_factor lists every subset of a variable block, 2^20 of them
+    # for one block at n = 20, so n above SUITE_MAX_N is refused before
+    # any factor is drawn, from the library as from the CLI
+    def no_listing(*args):
+        raise AssertionError("a factor was drawn")
+
+    monkeypatch.setattr(fsing.pipeline, "_random_factor", no_listing)
+    with pytest.raises(ValueError, match="at most 16 variables"):
+        random_sqfree(build_field(2), 20, 4, 1)
+    with pytest.raises(ValueError, match="at most 16 variables"):
+        theorem_suite(SuiteConfig(n=17, count=1))
+    monkeypatch.undo()
+    assert random_sqfree(F2, 16, 4, 16).vars.n == 16
 
 
 # --------------------------------------------------------------------------
@@ -605,6 +624,7 @@ def test_cli_modify(tmp_path, capsys):
 
 
 PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fsing.cli.__file__)))
 
 
 @pytest.mark.parametrize(
@@ -634,6 +654,34 @@ def test_cli_point_search_reports_pinned(monkeypatch, capsys, name, argv):
     assert main(argv) == 0
     with open(f"{name}.json", encoding="utf-8") as handle:
         assert capsys.readouterr().out == handle.read()
+
+
+def test_cli_runs_in_one_process_match_fresh_processes(monkeypatch, capsys):
+    # main builds its parser once per process; a usage error, then a check
+    # and a modify through the same parser, must each exit and report as a
+    # fresh interpreter does
+    monkeypatch.chdir(PINNED)
+    runs = [
+        ["modify", "modify.poly", "--g", "g", "--h", "h", "--s-max", "0"],
+        ["check", "chain4.poly"],
+        ["modify", "modify.poly", "--g", "g", "--h", "h", "--a", "1,1,0,1",
+         "--s-max", "3", "--max-points", "1"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    codes = []
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fsing.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        )
+        codes.append(code)
+    assert codes == [2, 0, 0]
 
 
 def test_cli_suite_and_output_file(tmp_path, capsys):
