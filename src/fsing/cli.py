@@ -56,6 +56,11 @@ from .structure import disjoint_factorization, squarefree_offender
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
+# fpt reports one sample for every e up to --e-max, each with q = p^e
+# and b near n*q written out in full: at e = 64 and p = 65521 that is
+# about 309 digits per number, while q passes Python's 4300-digit
+# int-to-string limit near e = 893 there (e = 14285 at p = 2)
+FPT_MAX_E = 64
 
 
 def _field_info(field):
@@ -398,6 +403,14 @@ def _positive_int(text):
     return value
 
 
+def _e_max(text):
+    """argparse type for fpt's --e-max: an integer in 1..FPT_MAX_E."""
+    value = _positive_int(text)
+    if value > FPT_MAX_E:
+        raise argparse.ArgumentTypeError(f"must be at most {FPT_MAX_E}, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on the first call and reused by every
@@ -437,7 +450,7 @@ def _build_parser():
                         help="threshold samples and origin invariants")
     fp.add_argument("file")
     fp.add_argument("--poly")
-    fp.add_argument("--e-max", type=_positive_int, default=2, dest="e_max",
+    fp.add_argument("--e-max", type=_e_max, default=2, dest="e_max",
                     help="sample every level up to this exponent")
     fp.set_defaults(func=_cmd_fpt)
 

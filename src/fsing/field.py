@@ -42,6 +42,7 @@ from itertools import product
 from .errors import DegreeRangeError, FieldMismatchError, NotPrimeError
 
 MAX_CHAR = 1 << 16
+MAX_DEGREE = 4
 _FOREIGN = "scalar does not belong to this field"
 
 
@@ -120,9 +121,9 @@ def build_field(p: int, s: int = 1) -> "Field":
 
 def level_field(base: "Field", s: int):
     """Field of level s in a point search over base = F_{p^k}: its degree-s
-    extension F_{p^(k*s)}, or None past the supported degree 4."""
+    extension F_{p^(k*s)}, or None past the supported degree MAX_DEGREE = 4."""
     degree = base.s * s
-    if degree > 4:
+    if degree > MAX_DEGREE:
         return None
     return build_field(base.p, degree)
 
@@ -159,8 +160,10 @@ class Field:
     def __init__(self, p: int, s: int = 1):
         if not isinstance(p, int) or not is_prime(p) or p >= MAX_CHAR:
             raise NotPrimeError(f"characteristic must be a prime below 2^16, got {p!r}")
-        if not isinstance(s, int) or not 1 <= s <= 4:
-            raise DegreeRangeError(f"extension degree must lie in 1..4, got {s!r}")
+        if not isinstance(s, int) or not 1 <= s <= MAX_DEGREE:
+            raise DegreeRangeError(
+                f"extension degree must lie in 1..{MAX_DEGREE}, got {s!r}"
+            )
         self.p = p
         self.s = s
         self.order = p**s

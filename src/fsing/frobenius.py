@@ -44,6 +44,17 @@ survivors of least degree d(q-1), and b = (n - d)(q - 1), that is
 lambda(e) = n - d.  Conversely lambda(e) = n - d forces a survivor of
 degree d(q-1), a term of in(f)^(q-1).  Only when in(f)^(q-1) dies is
 f^(q-1) itself reduced, and then lambda(e) < n - d.
+
+When in(f) is square-free supported, in(f)^(q-1) always survives (the
+digit lemma), so b = (n - d)(q - 1), and it is read off in(f)^(p-1) at
+e = 1 like any square-free supported input: in(f) is homogeneous of
+degree d, so the least degree on supp in(f)^(p-1) is (p-1)d.  This is
+the same sample as the digit path gives for a square-free supported f
+of order d, whose least degree on supp f^(p-1) is also (p-1)d.  The
+case that matters is a smooth point a of a hypersurface: in(f(x + a))
+is the linear form sum_i d_i f(a) * x_i (the singular-locus lemma in
+:mod:`fsing.invariants`), a linear form is square-free supported, and
+so b = (n - 1)(q - 1) is read off the gradient without shifting f.
 """
 
 from __future__ import annotations
@@ -293,26 +304,32 @@ def verify_regularity_certificate(Q: CIdeal, cert: RegCertificate) -> bool:
 # F-pure threshold oracle
 # --------------------------------------------------------------------------
 
-def _threshold_samples(f: Poly, e_list):
+def _threshold_samples(f: Poly, e_list, initial=None):
     """Yield the threshold sample of f at each e in e_list, None when unsplit.
 
-    Square-free supported f reduces one f^(p-1) for every e (the digit
-    lemma in the module docstring), so p^e may exceed the kernel's 16-bit
-    exponent range; other input reduces in(f)^(p^e-1) per e, and
-    f^(p^e-1) only where that dies (the initial-form lemma).
+    Square-free supported f, and f whose initial form is square-free
+    supported, reduce one power at e = 1 for every e (the digit lemma and
+    the initial-form lemma in the module docstring), so p^e may exceed
+    the kernel's 16-bit exponent range.  Other input reduces
+    in(f)^(p^e-1) per e, and f^(p^e-1) only where that dies.  initial,
+    when given, is in(f), so f's initial form is not taken again.
     """
     if f.is_zero():
         raise ZeroInputError("threshold sample of the zero polynomial")
     fld = f.field
     n = f.vars.n
-    digits = is_squarefree_supported(f)
-    initial = None if digits else f.order_and_initial()[1]
-    low = None  # least total degree on supp f^(p-1), once a sample needs it
+    if initial is None and not is_squarefree_supported(f):
+        initial = f.order_and_initial()[1]
+    if initial is None:
+        digits = f
+    else:
+        digits = initial if is_squarefree_supported(initial) else None
+    low = None  # least total degree on supp digits^(p-1), once a sample needs it
     for e in e_list:
-        if digits:
+        if digits is not None:
             q = frobenius_q(fld, e)
             if low is None:
-                low = min(sum(w) for w in frobenius_power_mod_bracket(f, 1).terms)
+                low = min(sum(w) for w in frobenius_power_mod_bracket(digits, 1).terms)
             b = n * (q - 1) - (q - 1) // (fld.p - 1) * low
         else:
             q = bracket_exponent(fld, e)
@@ -339,6 +356,7 @@ def fpt_sample_poly(f: Poly, e: int):
     read off f^(p-1) alone as n(q-1) - (q-1)/(p-1) * min |a| over
     supp f^(p-1), at every e.  For other input of order d, b is
     (n - d)(q - 1) exactly when the initial form's in(f)^(q-1) survives
-    the bracket; only when it dies is f^(q-1) itself reduced.
+    the bracket, which it always does when in(f) is square-free
+    supported; only when it dies is f^(q-1) itself reduced.
     """
     return next(_threshold_samples(f, (e,)))

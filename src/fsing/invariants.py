@@ -7,6 +7,19 @@ decomposition, so on the additive scale used here the order
 contributions of the factors sum.  The defect of the F-pure threshold
 then has the closed form mult - t, with dim = n - t and
 fpt = dim - dfpt = n - mult.
+
+Points of order above 1 (the singular-locus lemma).  The degree-one
+coefficients of g(x + a) are the first partials of g at a, in every
+characteristic: (x_i + a_i)^k contributes k * a_i^(k-1) * x_i, and the
+partial of x_i^k is k * x_i^(k-1), with the same integer k read mod p.
+So a zero of g has order 1 exactly where some first partial is nonzero,
+and the zeros of order at least 2 are the common zeros V(g, d_0 g, ...,
+d_(n-1) g) of g and its partials.  For t factors the multiplicity is
+the sum of the factors' orders, so it exceeds t only where some factor
+has order at least 2: a point of V(g_1, ..., g_t) with mult > t lies in
+the union over j of V(g_1, ..., g_t, d_0 g_j, ..., d_(n-1) g_j).  The
+point searches walk these sets for orders above 1 and take no order at
+a smooth zero.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import PointNotOnVarietyError, ZeroInputError
-from .field import level_field
+from .field import MAX_DEGREE, level_field
 from .frobenius import _threshold_samples
 from .structure import CIdeal
 
@@ -48,18 +61,19 @@ def dfpt_at(Q: CIdeal, point) -> InvariantReport:
             )
         ordv, _ = g.shift(point).order_and_initial()
         orders.append(ordv)
-    mult = sum(orders)
-    t = Q.t
-    n = Q.vars.n
-    dim = n - t
-    dfpt = mult - t
+    return _report(point, sum(orders), Q.vars.n, Q.t)
+
+
+def _report(point, mult: int, n: int, t: int) -> InvariantReport:
+    """Report at a point of multiplicity mult on t factors in n variables:
+    dim = n - t, dfpt = mult - t and fpt = dim - dfpt = n - mult."""
     return InvariantReport(
         point=tuple(point),
         ord=mult,
         mult=mult,
-        dim=dim,
-        dfpt=dfpt,
-        fpt=Fraction(dim - dfpt),
+        dim=n - t,
+        dfpt=mult - t,
+        fpt=Fraction(n - mult),
         t=t,
     )
 
@@ -203,34 +217,57 @@ def level_zeros(polys, base, s):
     yield from walk(n, parts, (1 << len(subfields)) - 1)
 
 
-def order_finder(g):
-    """Order of g at its zeros, as a function of the point.
+def search_levels(base, n: int, s_max: int, budget: int):
+    """(levels, flag): the levels s <= s_max a point search over base walks.
 
-    The order is 1 exactly where some first partial of g is nonzero (the
-    degree-one coefficients of g(x + a) are the partials at a); only where
-    they all vanish is g shifted to read the order off.
+    levels lists (s, level_field(base, s)) for each level whose full grid
+    of (p^(k*s))^n points fits the budget, base being F_{p^k}.  A level
+    past the budget or past the supported degree (:func:`level_field`) is
+    left out and sets the flag.  A level's grid is sized before its field
+    is built, and s stops at the last supported degree, so neither a
+    large s_max nor a large grid costs anything.
     """
-    fld = g.field
-    zero, add, mul = fld.zero, fld.add, fld.mul
-    partials = [
-        [(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in d.terms.items()]
-        for d in (g.derivative(i) for i in range(g.vars.n))
-        if d.terms
+    top = min(s_max, MAX_DEGREE // base.s)
+    levels = [
+        (s, level_field(base, s)) for s in range(1, top + 1)
+        if base.order ** (s * n) <= budget
     ]
-    powers = _power_table(fld, _top_exponent([g]))
+    return levels, len(levels) < s_max
 
-    def order(point):
-        for terms in partials:
+
+def gradient_evaluator(partials):
+    """The values of the n first partials of g at a point, as a function
+    of the point; partials lists them, d_0 g, ..., d_(n-1) g.
+
+    They are the degree-one coefficients of g(x + a) (the singular-locus
+    lemma in the module docstring), summed from per-element power tables
+    without shifting g.
+    """
+    fld = partials[0].field
+    zero, add, mul = fld.zero, fld.add, fld.mul
+    terms = [
+        [(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in d.terms.items()]
+        for d in partials
+    ]
+    powers = _power_table(fld, _top_exponent(partials))
+
+    def gradient(point):
+        out = []
+        for items in terms:
             total = zero
-            for c, factors in terms:
+            for c, factors in items:
                 for i, k in factors:
                     c = mul(c, powers[point[i]][k])
                 total = add(total, c)
-            if total != zero:
-                return 1
-        return g.shift(point).order_and_initial()[0]
+            out.append(total)
+        return out
 
-    return order
+    return gradient
+
+
+def _order_sum(factors, point):
+    """Multiplicity at a common zero of factors: the sum of their orders."""
+    return sum(g.shift(point).order_and_initial()[0] for g in factors)
 
 
 def global_invariants(Q: CIdeal, s_max: int = 3, budget: int = SEARCH_BUDGET):
@@ -238,43 +275,48 @@ def global_invariants(Q: CIdeal, s_max: int = 3, budget: int = SEARCH_BUDGET):
 
     Searches the origin, then the points of V(Q) level by level for
     s <= s_max, level s being the degree-s extension of the coefficient
-    field (:func:`fsing.field.level_field`).  Within a level the points
-    come in grid order and skip those of earlier levels
-    (:func:`level_zeros`); a skipped point repeats an earlier
-    multiplicity, and only a strictly larger one replaces the best, so
-    the maximizer is the first in search order either way.  Orders come
-    from first partials where possible (:func:`order_finder`).  A level
-    whose full grid exceeds the budget, or whose degree leaves the
-    supported range, is skipped and flagged.  The report is exact when
-    every factor is homogeneous (the maximum then sits at the origin);
-    otherwise it is a lower bound over the searched set.
+    field (:func:`search_levels`).  Within a level the points come in
+    grid order and skip those of earlier levels (:func:`level_zeros`); a
+    skipped point repeats an earlier multiplicity, and only a strictly
+    larger one replaces the best, so the report is the first maximizer
+    in search order.  Until some point is found, a level's first zero is
+    taken; past it only a point of multiplicity above t can win, and
+    such a point is singular on some factor g_j (the singular-locus
+    lemma in the module docstring), so each level walks V(Q, dg_j) for
+    every j and keeps, among the points of the level's largest
+    multiplicity, the one of least grid index.  A level whose full grid
+    exceeds the budget, or whose degree leaves the supported range, is
+    skipped and flagged.  The report is exact when every factor is
+    homogeneous (the maximum then sits at the origin); otherwise it is a
+    lower bound over the searched set.
     """
-    best = None
-    budget_exceeded = False
     n, t = Q.vars.n, Q.t
+    best = None
     origin = tuple(Q.field.zero for _ in range(n))
     if all(g.evaluate(origin) == Q.field.zero for g in Q.factors):
         best = dfpt_at(Q, origin)
-    for s in range(1, s_max + 1):
-        # the grid is sized first, so a level past the budget builds no field
-        big = level_field(Q.field, s) if Q.field.order ** (s * n) <= budget else None
-        if big is None:
-            budget_exceeded = True
-            continue
+    levels, budget_exceeded = search_levels(Q.field, n, s_max, budget)
+    for s, big in levels:
         factors = [g.embed(big) for g in Q.factors]
-        orders = [order_finder(g) for g in factors]
-        for point in level_zeros(factors, Q.field, s):
-            mult = sum([order(point) for order in orders])
-            if best is None or mult > best.mult:
-                best = InvariantReport(
-                    point=point,
-                    ord=mult,
-                    mult=mult,
-                    dim=n - t,
-                    dfpt=mult - t,
-                    fpt=Fraction(n - mult),
-                    t=t,
-                )
+        if best is None:
+            first = next(level_zeros(factors, Q.field, s), None)
+            if first is None:
+                continue
+            best = _report(first, _order_sum(factors, first), n, t)
+        found = {}
+        for g in factors:
+            partials = [g.derivative(i) for i in range(n)]
+            for point in level_zeros(factors + partials, Q.field, s):
+                if point not in found:
+                    found[point] = _order_sum(factors, point)
+        top = max(found.values(), default=0)
+        if top > best.mult:
+            q = big.order
+            first = min(
+                (point for point, mult in found.items() if mult == top),
+                key=lambda point: sum(big.encode(a) * q**i for i, a in enumerate(point)),
+            )
+            best = _report(first, top, n, t)
     if best is None:
         raise PointNotOnVarietyError(
             "no rational point of the zero set found within the search budget"

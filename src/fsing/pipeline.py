@@ -22,14 +22,21 @@ from .errors import (
     HypothesisViolatedError,
     TheoremContradictionError,
 )
-from .field import Field, build_field, level_field
+from .field import Field, build_field
 from .frobenius import (
     _threshold_samples,
     build_regularity_certificate,
     fsplit_witness,
     verify_regularity_certificate,
 )
-from .invariants import SEARCH_BUDGET, dfpt_at, fpt_crosscheck, level_zeros, order_finder
+from .invariants import (
+    SEARCH_BUDGET,
+    dfpt_at,
+    fpt_crosscheck,
+    gradient_evaluator,
+    level_zeros,
+    search_levels,
+)
 from .poly import Poly, VarCtx, exact_divide
 from .structure import (
     CIdeal,
@@ -331,57 +338,85 @@ def hypersurface_point_checks(
     """Search V(f) over small extensions; check lam(e) = n - ord pointwise.
 
     Level s is the degree-s extension of the coefficient field
-    (:func:`fsing.field.level_field`).  Its zeros come in grid order,
-    coordinate 0 least significant, without the points of earlier levels
-    (those with every coordinate in one proper subfield), from
+    (:func:`fsing.invariants.search_levels`).  Its zeros come in grid
+    order, coordinate 0 least significant, without the points of earlier
+    levels (those with every coordinate in one proper subfield), from
     :func:`fsing.invariants.level_zeros`.  The first max_points zeros get
-    a check record, read off the shifted polynomial; every other zero
-    only contributes its order to the maximum, taken from first partials
-    where possible (:func:`fsing.invariants.order_finder`).
+    a check record.  Past them only orders above 1 can raise the maximum,
+    and those sit on the singular locus (the singular-locus lemma in
+    :mod:`fsing.invariants`), so the rest of that level and every later
+    level walk V(f, d_0 f, ..., d_(n-1) f) instead and shift only at
+    the points of that walk that have no record.
 
-    Each check record holds the threshold samples at e = 1 and e = 2.
-    A shifted polynomial that is not square-free supported has them read
-    off its initial form in(f), not off the whole shifted polynomial
-    (the initial-form lemma in :mod:`fsing.frobenius`), so the ok bit
-    holds exactly when in(f)^(q-1) survives the bracket (x_i^q), which
-    is lam(e) = n - ord.  Returns (max multiplicity seen, list of
-    per-point check records, budget flag).  The threshold identity is
-    exact for every point by the supporting theory, so each record
-    carries an ok bit instead of a tolerance.
+    Each check record holds the threshold samples at e = 1 and e = 2.  A
+    checked point where some first partial is nonzero has order 1 and
+    initial form sum_i d_i f(a) * x_i, read off the gradient
+    (:func:`fsing.invariants.gradient_evaluator`) without shifting f; a
+    linear form is square-free supported, so its samples come from the
+    digit path.  Only a checked point with a vanishing gradient is
+    shifted, and its samples are read off the shifted polynomial's
+    initial form in(f) (the initial-form lemma in :mod:`fsing.frobenius`;
+    a square-free supported in(f) takes the digit path too), so the ok
+    bit holds exactly when in(f)^(q-1) survives the bracket (x_i^q),
+    which is lam(e) = n - ord.  Returns (max multiplicity seen,
+    list of per-point check records, budget flag).  The threshold
+    identity is exact for every point by the supporting theory, so each
+    record carries an ok bit instead of a tolerance.
     """
     n = f.vars.n
     base = f.field
     best = 0
     checks = []
-    budget_exceeded = False
-    for s in range(1, s_max + 1):
-        # the grid is sized first, so a level past the budget builds no field
-        big = level_field(base, s) if base.order ** (s * n) <= budget else None
-        if big is None:
-            budget_exceeded = True
-            continue
+    levels, budget_exceeded = search_levels(base, n, s_max, budget)
+    for s, big in levels:
         fe = f.embed(big)
-        order_at = order_finder(fe)
-        for point in level_zeros([fe], base, s):
-            if len(checks) >= max_points:
-                best = max(best, order_at(point))
-                continue
-            shifted = fe.shift(point)
-            ordv = shifted.order_and_initial()[0]
-            best = max(best, ordv)
-            entry = {
-                "point": [big.encode(a) for a in point],
-                "s": s, "ord": ordv, "samples": [], "ok": True,
-            }
-            for e, sample in zip((1, 2), _threshold_samples(shifted, (1, 2))):
-                if sample is None or sample.lam != Fraction(n - ordv):
-                    entry["ok"] = False
-                if sample is not None:
-                    entry["samples"].append(
-                        {"e": e, "num": sample.lam.numerator, "den": sample.lam.denominator}
-                    )
-            checks.append(entry)
+        partials = [fe.derivative(i) for i in range(n)]
+        checked = set()
+        # until the records are full (and some zero is seen), walk all of V(f)
+        if len(checks) < max_points or not best:
+            gradient = gradient_evaluator(partials)
+            for point in level_zeros([fe], base, s):
+                if len(checks) >= max_points:
+                    best = max(best, 1)  # a zero, if max_points is 0 the first
+                    break
+                checks.append(_point_check(fe, s, point, gradient(point)))
+                checked.add(point)
+                best = max(best, checks[-1]["ord"])
+            else:
+                continue  # every zero of the level got a record
+        for point in level_zeros([fe] + partials, base, s):
+            if point not in checked:
+                best = max(best, fe.shift(point).order_and_initial()[0])
     return best, checks, budget_exceeded
+
+
+def _point_check(fe: Poly, s: int, point, gradient) -> dict:
+    """Check record of a zero of fe at level s, whose first partials there
+    are gradient: its order, threshold samples at e = 1, 2 and ok bit."""
+    big, n = fe.field, fe.vars.n
+    if any(c != big.zero for c in gradient):
+        ordv = 1
+        linear = Poly(big, fe.vars, {
+            tuple(int(j == i) for j in range(n)): c
+            for i, c in enumerate(gradient) if c != big.zero
+        })
+        samples = _threshold_samples(linear, (1, 2))
+    else:
+        shifted = fe.shift(point)
+        ordv, initial = shifted.order_and_initial()
+        samples = _threshold_samples(shifted, (1, 2), initial)
+    entry = {
+        "point": [big.encode(a) for a in point],
+        "s": s, "ord": ordv, "samples": [], "ok": True,
+    }
+    for e, sample in zip((1, 2), samples):
+        if sample is None or sample.lam != Fraction(n - ordv):
+            entry["ok"] = False
+        if sample is not None:
+            entry["samples"].append(
+                {"e": e, "num": sample.lam.numerator, "den": sample.lam.denominator}
+            )
+    return entry
 
 
 def modification_build(g: Poly, h: Poly, ell_coeffs, s_max: int = 2,

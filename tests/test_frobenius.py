@@ -40,7 +40,7 @@ from fsing.errors import (
     TheoremContradictionError,
     ZeroInputError,
 )
-from fsing.frobenius import _discharged, _verify_explain
+from fsing.frobenius import _discharged, _threshold_samples, _verify_explain
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -331,8 +331,11 @@ def test_fpt_sample_at_zeros_matches_full_expansion(p, s, n):
     sampled = singular[:4] + smooth[:4]
     assert any(squarefree_offender(g) is not None for g in sampled)
     for shifted in sampled:
-        for e in (1, 2):
-            assert fpt_sample_poly(shifted, e) == _sample_by_definition(shifted, e)
+        expected = [_sample_by_definition(shifted, e) for e in (1, 2)]
+        assert [fpt_sample_poly(shifted, e) for e in (1, 2)] == expected
+        # the point checks hand over the initial form they already hold
+        initial = shifted.order_and_initial()[1]
+        assert list(_threshold_samples(shifted, (1, 2), initial)) == expected
 
 
 def _recording_kernel(monkeypatch):
@@ -374,35 +377,67 @@ PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned")
     ids=["modify", "modify20-f2", "modify20-f3"],
 )
 def test_point_checks_reduce_only_initial_forms(monkeypatch, name, a, s_max, max_points):
-    # the pinned modify inputs: every shifted polynomial that is not
-    # square-free supported reaches the kernel only as its initial form,
-    # once per e, so the full shifted power is never reduced
+    # the pinned modify inputs: a smooth checked point reaches the kernel
+    # once, at e = 1, on its gradient's linear form; a singular one only on
+    # in(shifted), at e = 1 alone when that is square-free supported (the
+    # digit path) and at e = 1 and e = 2 otherwise.  The shifted power is
+    # never reduced, and no order is taken at a smooth point
     parsed = parse_poly_file(os.path.join(PINNED, f"{name}.poly"))
     coeffs = parse_point(parsed.field, a, parsed.varctx.n)
     calls = _recording_kernel(monkeypatch)
+    shifted_at, orders = [], []
+    shift, order_and_initial = Poly.shift, Poly.order_and_initial
+
+    def recording_shift(self, point):
+        shifted_at.append(tuple(point))
+        return shift(self, point)
+
+    def recording_order(self):
+        orders.append(order_and_initial(self)[0])
+        return order_and_initial(self)
+
+    monkeypatch.setattr(Poly, "shift", recording_shift)
+    monkeypatch.setattr(Poly, "order_and_initial", recording_order)
     result = modification_build(parsed.polys["g"], parsed.polys["h"], coeffs,
                                 s_max=s_max, max_points=max_points)
+    monkeypatch.undo()
     assert len(result.point_checks) == max_points
-    # the checked points come last; recompute their shifted polynomials
+    n = result.f.vars.n
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    # the checked points reach the kernel last (the walk past them does not);
+    # recompute their shifted polynomials
     expected = []
-    initial_forms = 0
+    kinds = set()
     for check in result.point_checks:
         big = level_field(parsed.field, check["s"])
         point = tuple(big.decode(k) for k in check["point"])
         shifted = result.f.embed(big).shift(point)
-        if squarefree_offender(shifted) is None:
-            expected.append((shifted, 1))  # the digit path
+        linear = Poly(big, shifted.vars,
+                      {u: shifted.terms[u] for u in units if u in shifted.terms})
+        if not linear.is_zero():
+            kinds.add("smooth")
+            assert check["ord"] == 1 and point not in shifted_at
+            expected.append((linear, 1))
+            continue
+        initial = shifted.order_and_initial()[1]
+        assert check["ord"] == sum(next(iter(initial.terms))) >= 2
+        assert point in shifted_at
+        if squarefree_offender(initial) is None:
+            kinds.add("singular, square-free initial form")
+            expected.append((initial, 1))
         else:
-            initial_forms += 1
-            initial = shifted.order_and_initial()[1]
-            assert len({sum(w) for w in initial.terms}) == 1
+            kinds.add("singular")
             expected += [(initial, 1), (initial, 2)]
-    assert initial_forms
+    assert kinds - {"smooth"} and ("smooth" in kinds or max_points == 1)
     assert calls[len(calls) - len(expected):] == expected
     # before them, only the square-free supported model is reduced
     assert all(
         squarefree_offender(g) is None for g, _ in calls[:len(calls) - len(expected)]
     )
+    # each shifted point, checked or past the checks, is shifted once and
+    # has its order taken once, and it is singular
+    assert len(set(shifted_at)) == len(shifted_at) == len(orders)
+    assert min(orders) >= 2
 
 
 def test_crosscheck_reduces_only_the_first_power(monkeypatch):

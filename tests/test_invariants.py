@@ -19,7 +19,7 @@ from fsing import (
 )
 from fsing.errors import PointNotOnVarietyError, ZeroInputError
 from fsing.field import level_field
-from fsing.invariants import level_zeros, order_finder
+from fsing.invariants import SEARCH_BUDGET, gradient_evaluator, level_zeros, search_levels
 from fsing.pipeline import random_sqfree
 
 F2 = build_field(2)
@@ -35,8 +35,8 @@ def quadric(fld=F2):
 
 def exhaustive_max_mult(Q, s):
     """Independent maximizer search: loop the full grid in the test."""
-    fld = Q.field if s == 1 else build_field(Q.field.p, s)
-    factors = Q.factors if s == 1 else [g.embed(fld) for g in Q.factors]
+    fld = level_field(Q.field, s)
+    factors = [g.embed(fld) for g in Q.factors]
     best = None
     for point in product(list(fld.elements()), repeat=Q.vars.n):
         if any(g.evaluate(point) != fld.zero for g in factors):
@@ -232,16 +232,25 @@ def test_level_zeros_match_brute_force_in_grid_order(base, s, n):
 
 @pytest.mark.parametrize("base, s, n", LEVELS, ids=LEVEL_IDS)
 def test_first_partials_order_matches_shift(base, s, n):
+    # the gradient helper gives the degree-one coefficients of the shift,
+    # and the walk of V(g, dg) is exactly the zeros of shift order >= 2
+    big = level_field(base, s)
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     seen = set()
     for polys in walker_cases(base, s, n, seed=17 * s + base.order):
-        live = [g for g in polys if not g.is_zero()]
-        orders = [order_finder(g) for g in live]
-        for point in level_zeros(polys, base, s):
-            for g, order in zip(live, orders):
-                expected = g.shift(point).order_and_initial()[0]
-                assert order(point) == expected
-                seen.add(expected)
-    assert 1 in seen and max(seen) >= 2  # both paths of the finder ran
+        for g in (g for g in polys if not g.is_zero()):
+            partials = [g.derivative(i) for i in range(n)]
+            gradient = gradient_evaluator(partials)
+            singular = []
+            for point in brute_zeros([g], base, s):
+                shifted = g.shift(point)
+                assert gradient(point) == [shifted.terms.get(u, big.zero) for u in units]
+                order = shifted.order_and_initial()[0]
+                seen.add(order)
+                if order >= 2:
+                    singular.append(point)
+            assert list(level_zeros([g] + partials, base, s)) == singular
+    assert 1 in seen and max(seen) >= 2  # smooth and singular zeros both met
 
 
 def first_maximizer(Q, s_max):
@@ -265,10 +274,10 @@ def first_maximizer(Q, s_max):
     return best
 
 
-@pytest.mark.parametrize("p, seed", [(2, 1), (2, 2), (3, 3), (3, 4)])
-def test_global_invariants_match_exhaustive_on_products(p, seed):
+@pytest.mark.parametrize("order, seed", [(2, 1), (2, 2), (3, 3), (3, 4), (4, 5)])
+def test_global_invariants_match_exhaustive_on_products(order, seed):
     # a constant term moves the first factor off the origin, so the search runs
-    fld = build_field(p)
+    fld = {2: F2, 3: F3, 4: F4}[order]
     Q0 = disjoint_factorization(random_sqfree(fld, 4, 6, 2, seed=seed))
     moved = [Q0.factors[0] + Poly.constant(fld, Q0.vars, 1)] + Q0.factors[1:]
     for factors in (Q0.factors, moved):
@@ -296,3 +305,15 @@ def test_level_zeros_large_level_field():
     assert list(level_zeros([f.embed(level_field(fld, 2))], fld, 2)) == []
     rep = global_invariants(CIdeal.from_factors([f]), s_max=3)
     assert (rep.point, rep.mult, rep.budget_exceeded) == ((fld.scalar(-1),), 1, True)
+
+
+def test_search_levels_stop_at_the_last_supported_degree():
+    # over F_4 only F_4 and F_16 are supported levels: a huge s_max is
+    # flagged and sizes no grid past them; within range only the budget
+    # leaves a level out
+    levels, flagged = search_levels(F4, 3, 10**9, SEARCH_BUDGET)
+    assert ([(s, big.order) for s, big in levels], flagged) == ([(1, 4), (2, 16)], True)
+    levels, flagged = search_levels(F2, 3, 4, SEARCH_BUDGET)
+    assert ([s for s, _ in levels], flagged) == ([1, 2, 3, 4], False)
+    levels, flagged = search_levels(F2, 3, 4, 100)
+    assert ([s for s, _ in levels], flagged) == ([1, 2], True)

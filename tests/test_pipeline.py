@@ -38,6 +38,7 @@ from fsing.errors import (
     ParseError,
     UnknownVariableError,
 )
+from fsing.field import level_field
 from fsing.pipeline import hypersurface_point_checks
 
 F2 = build_field(2)
@@ -429,6 +430,50 @@ def test_point_checks_walk_each_level_once():
     assert len(by_level[1]) == 4 and len(by_level[2]) == 12
 
 
+def _random_modified(fld, n, rng):
+    """g*(1 + sum a_i x_i) + h with random square-free supported forms g
+    of degree 1 or 2 and h of one degree more, as modify builds them."""
+    ctx = VarCtx(tuple(f"x{i}" for i in range(n)))
+
+    def form(d):
+        monomials = [m for m in product((0, 1), repeat=n) if sum(m) == d]
+        chosen = rng.sample(monomials, rng.randint(1, len(monomials)))
+        return Poly(fld, ctx, {m: fld.decode(rng.randrange(1, fld.order)) for m in chosen})
+
+    ell = Poly.constant(fld, ctx, 1)
+    for i in range(n):
+        ell = ell + Poly.variable(fld, ctx, i).scale(fld.decode(rng.randrange(fld.order)))
+    d = rng.randint(1, 2)
+    return form(d) * ell + form(d + 1)
+
+
+@pytest.mark.parametrize("fld, n", [(F2, 4), (F3, 3), (build_field(2, 2), 3)],
+                         ids=["F2", "F3", "F4"])
+def test_point_checks_best_is_the_maximum_order(fld, n):
+    # past the checked points only the singular locus is walked; the
+    # maximum must still be the largest shift order over every zero of
+    # every searched level, however few points get a record
+    rng = random.Random(7 * fld.order + n)
+    raised = 0
+    for _ in range(6):
+        f = _random_modified(fld, n, rng)
+        expected = 0
+        for s in (1, 2):
+            big = level_field(fld, s)
+            fe = f.embed(big)
+            for point in product(list(big.elements()), repeat=n):
+                if fe.evaluate(point) == big.zero:
+                    expected = max(expected, fe.shift(point).order_and_initial()[0])
+        for max_points in (1, 5, 20, 10**3):
+            best, checks, flagged = hypersurface_point_checks(
+                f, s_max=2, max_points=max_points
+            )
+            assert (best, flagged) == (expected, False)
+            assert len(checks) <= max_points and all(c["ok"] for c in checks)
+            raised += best > max(c["ord"] for c in checks)
+    assert raised  # some maximum came from the walk past the checked points
+
+
 # --------------------------------------------------------------------------
 # command line interface
 # --------------------------------------------------------------------------
@@ -560,6 +605,7 @@ def test_cli_matroid(tmp_path, capsys):
     [
         (["check", "{poly}", "--e-max", "0"], "unrecognized arguments"),
         (["fpt", "{poly}", "--e-max", "0"], "--e-max"),
+        (["fpt", "{poly}", "--e-max", "65"], "--e-max"),
         (["matroid", "{matroid}", "--e-max", "0"], "unrecognized arguments"),
         (["modify", "{poly}", "--g", "f", "--h", "h", "--e-max", "0"],
          "unrecognized arguments"),
@@ -582,7 +628,8 @@ def test_cli_matroid(tmp_path, capsys):
         (["suite", "--p-list", ",2"], "--p-list"),
     ],
     ids=[
-        "check", "fpt", "matroid", "modify", "suite", "check-seed", "basis-index",
+        "check", "fpt", "fpt-e-max-above-64", "matroid", "modify", "suite", "check-seed",
+        "basis-index",
         "suite-n", "suite-n-range", "suite-max-terms", "suite-max-factors-0",
         "suite-max-factors-above-n", "suite-count",
         "check-s-max", "matroid-s-max", "modify-s-max", "modify-max-points",
@@ -632,6 +679,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(fsing.cli.__file__)))
     [
         ("chain4", ["check", "chain4.poly"]),
         ("chain5", ["check", "chain5.poly"]),
+        ("chain7", ["check", "chain7.poly"]),
+        ("chain10", ["check", "chain10.poly"]),
         ("ext2", ["check", "ext2.poly"]),
         ("three", ["check", "three.poly", "--s-max", "2"]),
         ("modify", ["modify", "modify.poly", "--g", "g", "--h", "h", "--a", "1,1,0,1",
@@ -641,7 +690,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(fsing.cli.__file__)))
         ("modify20-f3", ["modify", "modify20-f3.poly", "--g", "g", "--h", "h",
                          "--a", "1,0,0,0", "--s-max", "2"]),
     ],
-    ids=["chain4", "chain5", "ext2", "three", "modify", "modify20-f2", "modify20-f3"],
+    ids=["chain4", "chain5", "chain7", "chain10", "ext2", "three", "modify", "modify20-f2",
+         "modify20-f3"],
 )
 def test_cli_point_search_reports_pinned(monkeypatch, capsys, name, argv):
     # tests/pinned/NAME.json holds the report of the exhaustive grid loop that
@@ -654,6 +704,32 @@ def test_cli_point_search_reports_pinned(monkeypatch, capsys, name, argv):
     assert main(argv) == 0
     with open(f"{name}.json", encoding="utf-8") as handle:
         assert capsys.readouterr().out == handle.read()
+
+
+@pytest.mark.parametrize(
+    "argv, searched",
+    [
+        (["check", "chain10.poly"], True),
+        (["matroid", "{matroid}"], False),
+        (["modify", "modify20-f2.poly", "--g", "g", "--h", "h", "--a", "1,0,0,0"], True),
+    ],
+    ids=["check", "matroid", "modify"],
+)
+def test_cli_s_max_past_the_last_level(monkeypatch, capsys, tmp_path, argv, searched):
+    # levels stop at the last supported degree, so a huge --s-max reports
+    # what --s-max 5 does, flagged, without sizing a grid per level; a
+    # basis polynomial vanishes at the origin, so matroid searches nothing
+    matroid = tmp_path / "u24.matroid"
+    matroid.write_text("matroid\nn 4\n" + "".join(
+        f"basis {i} {j}\n" for i in range(1, 5) for j in range(i + 1, 5)
+    ))
+    monkeypatch.chdir(PINNED)
+    outs = []
+    for s_max in ("5", "100000"):
+        assert main([a.format(matroid=matroid) for a in argv] + ["--s-max", s_max]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert ('"budget_exceeded": true' in outs[0]) == searched
 
 
 def test_cli_runs_in_one_process_match_fresh_processes(monkeypatch, capsys):
