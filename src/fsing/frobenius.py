@@ -50,11 +50,17 @@ digit lemma), so b = (n - d)(q - 1), and it is read off in(f)^(p-1) at
 e = 1 like any square-free supported input: in(f) is homogeneous of
 degree d, so the least degree on supp in(f)^(p-1) is (p-1)d.  This is
 the same sample as the digit path gives for a square-free supported f
-of order d, whose least degree on supp f^(p-1) is also (p-1)d.  The
-case that matters is a smooth point a of a hypersurface: in(f(x + a))
-is the linear form sum_i d_i f(a) * x_i (the singular-locus lemma in
-:mod:`fsing.invariants`), a linear form is square-free supported, and
-so b = (n - 1)(q - 1) is read off the gradient without shifting f.
+of order d, whose least degree on supp f^(p-1) is also (p-1)d.  So
+lambda(e) = n - d at every e, and the modify point checks
+(:func:`fsing.pipeline.hypersurface_point_checks`) write their records
+in closed form without reducing any power.  At a smooth point a of a
+hypersurface, in(f(x + a)) is the linear form sum_i d_i f(a) * x_i (the
+singular-locus lemma in :mod:`fsing.invariants`), which is square-free
+supported, so lambda(e) = n - 1 as soon as some first partial is
+nonzero at a, and f is not shifted.  At a singular point, f is shifted
+and lambda(e) = n - d whenever in(f(x + a)) is square-free supported.
+Only a checked point whose initial form is not square-free supported
+reaches the kernel, through :func:`_threshold_samples`.
 """
 
 from __future__ import annotations

@@ -20,6 +20,18 @@ has order at least 2: a point of V(g_1, ..., g_t) with mult > t lies in
 the union over j of V(g_1, ..., g_t, d_0 g_j, ..., d_(n-1) g_j).  The
 point searches walk these sets for orders above 1 and take no order at
 a smooth zero.
+
+Conjugate points share their orders (the orbit lemma).  Let the
+coefficients of g lie in base = F_{p^k} and let phi(a) = a^(p^k) on an
+extension of base.  phi is a ring automorphism that fixes base, so
+applying it to the coordinates of a point a and to the coefficients of
+g(x + a) gives g(x + phi(a)): g vanishes at phi(a) exactly when it
+vanishes at a, with the same order, and so do its partials, whose
+coefficients lie in base too.  A search over the level F_{p^(k*s)} that
+only maximizes an order therefore needs one point per orbit
+{a, phi(a), ..., phi^(s-1)(a)}, and the singular walks take the member
+of least grid index, which is also the point a search in grid order
+meets first.
 """
 
 from __future__ import annotations
@@ -102,47 +114,82 @@ def _top_exponent(polys):
     return max((k for g in polys for e in g.terms for k in e), default=0)
 
 
-def level_zeros(polys, base, s):
+def level_zeros(polys, base, s, orbits=False):
     """Common zeros of polys that are new at level s of a search over base.
 
     The polynomials live over big = ``level_field(base, s)``, the degree-s
     extension of base = F_{p^k}, and the points come in grid order: point
     ``index`` has coordinate i equal to ``big.decode((index // q**i) % q)``
-    with q = big.order, so coordinate 0 is the least significant.  A point
-    with every coordinate in one proper subfield F_{p^(k*d)}, d | s and
-    d < s, belongs to the earlier level d and is skipped.
+    with q = big.order, so coordinate 0 is the least significant.  Let
+    phi(a) = a^(p^k), which generates the automorphisms of big over base.
+    A point fixed by some phi^j, 0 < j < s, has every coordinate in the
+    proper subfield F_{p^(k*gcd(j, s))}, so it belongs to an earlier level
+    and is skipped: bit j - 1 of the walk's mask says that phi^j fixes
+    every coordinate substituted so far, and a point is new exactly when
+    the mask ends at 0.
+
+    With orbits set, the walk yields one point per Frobenius orbit: the
+    member of least grid index (the orbit lemma in the module docstring
+    says its conjugates share its zeros and orders when the polynomials
+    have coefficients in base).  Since coordinates are substituted from
+    the most significant one down, a point has a conjugate of smaller
+    index exactly when, at the first coordinate where they differ, some
+    phi^j still in the mask maps the coordinate to a smaller encoding; the
+    branch is pruned there.
 
     The walk substitutes x_(n-1) first and x_0 last.  A subtree shares the
     partial substitution of its prefix and is pruned as soon as some
-    polynomial becomes a nonzero constant; a polynomial that becomes zero
-    drops out, and once none is left every completion is a zero.  When no
-    polynomial has x_0 to a power above 1, each one left at the last step
-    is A*x_0 + B with A nonzero, and x_0 = -B/A is solved for instead of
-    walking the field.  Zero polynomials impose no condition.
+    polynomial becomes a nonzero constant, the polynomials being tried in
+    the order given; a polynomial that becomes zero drops out, and once
+    none is left every completion is a zero.  When no polynomial has x_0
+    to a power above 1, each one left at the last step is A*x_0 + B with
+    A nonzero, and x_0 = -B/A is solved for instead of walking the field.
+    Zero polynomials impose no condition.
     """
     big = level_field(base, s)
     n = polys[0].vars.n
     zero, add, mul = big.zero, big.add, big.mul
     elements = big.elements
     powers = _power_table(big, _top_exponent(polys))
-    subfields = [base.order**d for d in range(1, s) if s % d == 0]
-    # bit j of mask[a]: a lies in the j-th proper subfield
-    mask = _Memo(lambda a: sum(
-        1 << j for j, order in enumerate(subfields) if big.pow(a, order) == a
-    ))
+
+    def conjugate_masks(a):
+        # (fixed, smaller): bit j - 1 set where phi^j(a) = a, and where
+        # phi^j(a) encodes below a (only kept with orbits)
+        fixed = smaller = 0
+        code = big.encode(a)
+        for j in range(1, s):
+            b = big.pow(a, base.order**j)
+            if b == a:
+                fixed |= 1 << (j - 1)
+            elif orbits and big.encode(b) < code:
+                smaller |= 1 << (j - 1)
+        return fixed, smaller
+
+    masks = _Memo(conjugate_masks)
+
+    def kept(a, m):
+        # a as the last coordinate leaves the point new and, with orbits,
+        # the least of its orbit
+        fixed, smaller = masks[a]
+        return not m & (fixed | smaller)
+
     coords = [zero] * n
     # substitution never raises a degree, so linear in x_0 stays linear
     linear = all(e[0] <= 1 for g in polys for e in g.terms if e)
 
     def free(length, m):
         # every completion of coordinates 0 .. length-1, x_0 fastest
-        for tail in product(elements(), repeat=length):
-            mm = m
-            for i, a in enumerate(reversed(tail)):
-                coords[i] = a
-                mm &= mask[a]
-            if not mm:
+        if not m:
+            for tail in product(elements(), repeat=length):
+                coords[:length] = tail[::-1]
                 yield tuple(coords)
+            return
+        if length:
+            for a in elements():
+                fixed, smaller = masks[a]
+                if not m & smaller:
+                    coords[length - 1] = a
+                    yield from free(length - 1, m & fixed)
 
     def last(parts, m):
         # parts are univariate in x_0, none zero or a nonzero constant
@@ -155,12 +202,12 @@ def level_zeros(polys, base, s):
                     root = r
                 elif r != root:
                     return
-            if not m & mask[root]:
+            if not m or kept(root, m):
                 coords[0] = root
                 yield tuple(coords)
             return
         for a in elements():
-            if m & mask[a]:
+            if m and not kept(a, m):
                 continue
             pw = powers[a]
             for d in parts:
@@ -184,6 +231,12 @@ def level_zeros(polys, base, s):
         split = [[(e[:i], e[i], c) for e, c in d.items()] for d in parts]
         unit = (0,) * i
         for a in elements():
+            mm = 0
+            if m:
+                fixed, smaller = masks[a]
+                if m & smaller:
+                    continue  # a conjugate of this branch comes first
+                mm = m & fixed
             pw = powers[a]
             nxt = []
             for items in split:
@@ -209,12 +262,12 @@ def level_zeros(polys, base, s):
                     nxt.append(out)
             else:
                 coords[i] = a
-                yield from walk(i, nxt, m & mask[a])
+                yield from walk(i, nxt, mm)
 
     parts = [g.terms for g in polys if g.terms]
     if any(len(d) == 1 and (0,) * n in d for d in parts):
         return
-    yield from walk(n, parts, (1 << len(subfields)) - 1)
+    yield from walk(n, parts, (1 << (s - 1)) - 1)
 
 
 def search_levels(base, n: int, s_max: int, budget: int):
@@ -235,34 +288,35 @@ def search_levels(base, n: int, s_max: int, budget: int):
     return levels, len(levels) < s_max
 
 
-def gradient_evaluator(partials):
-    """The values of the n first partials of g at a point, as a function
-    of the point; partials lists them, d_0 g, ..., d_(n-1) g.
+def smooth_at(partials):
+    """Predicate on the zeros a of g: some first partial of g is nonzero
+    at a, so a is a smooth zero of order 1 (the singular-locus lemma in
+    the module docstring); partials lists d_0 g, ..., d_(n-1) g.
 
-    They are the degree-one coefficients of g(x + a) (the singular-locus
-    lemma in the module docstring), summed from per-element power tables
-    without shifting g.
+    The partials are summed from per-element power tables without
+    shifting g, the fewest-term ones first, and the sum stops at the
+    first nonzero one.
     """
     fld = partials[0].field
     zero, add, mul = fld.zero, fld.add, fld.mul
     terms = [
         [(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in d.terms.items()]
-        for d in partials
+        for d in sorted((d for d in partials if d.terms), key=lambda d: len(d.terms))
     ]
     powers = _power_table(fld, _top_exponent(partials))
 
-    def gradient(point):
-        out = []
+    def smooth(point):
         for items in terms:
             total = zero
             for c, factors in items:
                 for i, k in factors:
                     c = mul(c, powers[point[i]][k])
                 total = add(total, c)
-            out.append(total)
-        return out
+            if total != zero:
+                return True
+        return False
 
-    return gradient
+    return smooth
 
 
 def _order_sum(factors, point):
@@ -284,7 +338,12 @@ def global_invariants(Q: CIdeal, s_max: int = 3, budget: int = SEARCH_BUDGET):
     such a point is singular on some factor g_j (the singular-locus
     lemma in the module docstring), so each level walks V(Q, dg_j) for
     every j and keeps, among the points of the level's largest
-    multiplicity, the one of least grid index.  A level whose full grid
+    multiplicity, the one of least grid index.  Conjugate points share
+    their multiplicity (the orbit lemma in the module docstring), so the
+    walks yield only the least-index member of each Frobenius orbit,
+    which is the point kept when its orbit holds the maximum; the
+    partials come first in a walk, so a constant partial prunes before
+    the factors are substituted.  A level whose full grid
     exceeds the budget, or whose degree leaves the supported range, is
     skipped and flagged.  The report is exact when every factor is
     homogeneous (the maximum then sits at the origin); otherwise it is a
@@ -306,7 +365,7 @@ def global_invariants(Q: CIdeal, s_max: int = 3, budget: int = SEARCH_BUDGET):
         found = {}
         for g in factors:
             partials = [g.derivative(i) for i in range(n)]
-            for point in level_zeros(factors + partials, Q.field, s):
+            for point in level_zeros(partials + factors, Q.field, s, orbits=True):
                 if point not in found:
                     found[point] = _order_sum(factors, point)
         top = max(found.values(), default=0)

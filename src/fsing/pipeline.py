@@ -33,15 +33,16 @@ from .invariants import (
     SEARCH_BUDGET,
     dfpt_at,
     fpt_crosscheck,
-    gradient_evaluator,
     level_zeros,
     search_levels,
+    smooth_at,
 )
 from .poly import Poly, VarCtx, exact_divide
 from .structure import (
     CIdeal,
     disjoint_factorization,
     is_irreducible_sqfree,
+    is_squarefree_supported,
     squarefree_offender,
 )
 
@@ -345,23 +346,29 @@ def hypersurface_point_checks(
     a check record.  Past them only orders above 1 can raise the maximum,
     and those sit on the singular locus (the singular-locus lemma in
     :mod:`fsing.invariants`), so the rest of that level and every later
-    level walk V(f, d_0 f, ..., d_(n-1) f) instead and shift only at
-    the points of that walk that have no record.
+    level walk V(d_0 f, ..., d_(n-1) f, f) instead, partials first so a
+    constant partial prunes before f is substituted.  Conjugate points
+    share their order (the orbit lemma in :mod:`fsing.invariants`), so
+    that walk yields one point per Frobenius orbit, and only the points
+    of it that have no record are shifted.
 
-    Each check record holds the threshold samples at e = 1 and e = 2.  A
-    checked point where some first partial is nonzero has order 1 and
-    initial form sum_i d_i f(a) * x_i, read off the gradient
-    (:func:`fsing.invariants.gradient_evaluator`) without shifting f; a
-    linear form is square-free supported, so its samples come from the
-    digit path.  Only a checked point with a vanishing gradient is
-    shifted, and its samples are read off the shifted polynomial's
-    initial form in(f) (the initial-form lemma in :mod:`fsing.frobenius`;
-    a square-free supported in(f) takes the digit path too), so the ok
-    bit holds exactly when in(f)^(q-1) survives the bracket (x_i^q),
-    which is lam(e) = n - ord.  Returns (max multiplicity seen,
-    list of per-point check records, budget flag).  The threshold
-    identity is exact for every point by the supporting theory, so each
-    record carries an ok bit instead of a tolerance.
+    Each check record holds the threshold samples at e = 1 and e = 2, in
+    closed form wherever the theory fixes them.  A checked point where
+    some first partial is nonzero (:func:`fsing.invariants.smooth_at`,
+    which stops at the first one) has order 1 and a linear initial form;
+    a checked point where every partial vanishes is shifted, and its
+    order d and initial form in(f) are read off the shifted polynomial.
+    When in(f) is square-free supported, which a linear form is,
+    in(f)^(q-1) survives the bracket (x_i^q) at every e (the digit lemma
+    in :mod:`fsing.frobenius`), so lam(e) = n - d (the initial-form
+    lemma there) is written down without reducing any power.  Only an
+    initial form that is not square-free supported reaches the Frobenius
+    kernel, through :func:`fsing.frobenius._threshold_samples`, and its
+    record's ok bit holds exactly when in(f)^(q-1) survives the bracket.
+    Returns (max multiplicity seen, list of per-point check records,
+    budget flag).  The threshold identity is exact for every point by
+    the supporting theory, so each record carries an ok bit instead of a
+    tolerance.
     """
     n = f.vars.n
     base = f.field
@@ -374,41 +381,41 @@ def hypersurface_point_checks(
         checked = set()
         # until the records are full (and some zero is seen), walk all of V(f)
         if len(checks) < max_points or not best:
-            gradient = gradient_evaluator(partials)
+            smooth = smooth_at(partials)
             for point in level_zeros([fe], base, s):
                 if len(checks) >= max_points:
                     best = max(best, 1)  # a zero, if max_points is 0 the first
                     break
-                checks.append(_point_check(fe, s, point, gradient(point)))
+                checks.append(_point_check(fe, s, point, smooth(point)))
                 checked.add(point)
                 best = max(best, checks[-1]["ord"])
             else:
                 continue  # every zero of the level got a record
-        for point in level_zeros([fe] + partials, base, s):
+        for point in level_zeros(partials + [fe], base, s, orbits=True):
             if point not in checked:
                 best = max(best, fe.shift(point).order_and_initial()[0])
     return best, checks, budget_exceeded
 
 
-def _point_check(fe: Poly, s: int, point, gradient) -> dict:
-    """Check record of a zero of fe at level s, whose first partials there
-    are gradient: its order, threshold samples at e = 1, 2 and ok bit."""
+def _point_check(fe: Poly, s: int, point, smooth: bool) -> dict:
+    """Check record of a zero of fe at level s, smooth there or not: its
+    order, threshold samples at e = 1, 2 and ok bit."""
     big, n = fe.field, fe.vars.n
-    if any(c != big.zero for c in gradient):
+    samples = None  # closed form: lam(e) = n - ord at e = 1, 2
+    if smooth:
         ordv = 1
-        linear = Poly(big, fe.vars, {
-            tuple(int(j == i) for j in range(n)): c
-            for i, c in enumerate(gradient) if c != big.zero
-        })
-        samples = _threshold_samples(linear, (1, 2))
     else:
         shifted = fe.shift(point)
         ordv, initial = shifted.order_and_initial()
-        samples = _threshold_samples(shifted, (1, 2), initial)
+        if not is_squarefree_supported(initial):
+            samples = _threshold_samples(shifted, (1, 2), initial)
     entry = {
         "point": [big.encode(a) for a in point],
         "s": s, "ord": ordv, "samples": [], "ok": True,
     }
+    if samples is None:
+        entry["samples"] = [{"e": e, "num": n - ordv, "den": 1} for e in (1, 2)]
+        return entry
     for e, sample in zip((1, 2), samples):
         if sample is None or sample.lam != Fraction(n - ordv):
             entry["ok"] = False

@@ -76,8 +76,12 @@ def render_fpt_sample(sample):
     }
 
 
+STATUSES = ("pass", "counterexample", "error")
+
+
 def build_report(field_info, varnames, input_info, results, status):
-    assert status in ("pass", "counterexample", "error")
+    if status not in STATUSES:
+        raise ValueError(f"report status must be one of {STATUSES}, got {status!r}")
     return {
         "version": VERSION,
         "field": field_info,

@@ -1,4 +1,4 @@
-"""Shared brute-force oracles used by several test modules.
+"""Shared brute-force oracles and inputs used by several test modules.
 
 These are deliberately written against the most direct definitions, so
 they stay independent of the package's optimized implementations: the
@@ -8,13 +8,30 @@ every variable bipartition and checks the rank-one coefficient
 condition on the support table.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
-from fsing import Poly
+from fsing import Poly, VarCtx
 
 
 def mk(field, ctx, terms):
     return Poly.make(field, ctx, terms)
+
+
+def random_modified(fld, n, rng):
+    """g*(1 + sum a_i x_i) + h with random square-free supported forms g
+    of degree 1 or 2 and h of one degree more, as modify builds them."""
+    ctx = VarCtx(tuple(f"x{i}" for i in range(n)))
+
+    def form(d):
+        monomials = [m for m in product((0, 1), repeat=n) if sum(m) == d]
+        chosen = rng.sample(monomials, rng.randint(1, len(monomials)))
+        return Poly(fld, ctx, {m: fld.decode(rng.randrange(1, fld.order)) for m in chosen})
+
+    ell = Poly.constant(fld, ctx, 1)
+    for i in range(n):
+        ell = ell + Poly.variable(fld, ctx, i).scale(fld.decode(rng.randrange(fld.order)))
+    d = rng.randint(1, 2)
+    return form(d) * ell + form(d + 1)
 
 
 def naive_kernel(f, e, inverted=frozenset()):

@@ -9,7 +9,7 @@ import pytest
 
 import fsing.frobenius
 
-from conftest import mk, naive_kernel
+from conftest import mk, naive_kernel, random_modified
 from fsing import (
     CIdeal,
     FptSample,
@@ -41,6 +41,7 @@ from fsing.errors import (
     ZeroInputError,
 )
 from fsing.frobenius import _discharged, _threshold_samples, _verify_explain
+from fsing.pipeline import hypersurface_point_checks
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -368,76 +369,115 @@ def test_fpt_sample_falls_back_when_the_initial_power_vanishes(monkeypatch):
 
 
 PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned")
+# pinned modify inputs: the linear form's coefficients, s_max, max_points
+PINNED_MODIFY = {
+    "modify": ("1,1,0,1", 3, 1),
+    "modify20-f2": ("1,0,0,0", 2, 20),
+    "modify20-f3": ("1,0,0,0", 2, 20),
+}
+RANDOM_MODIFY = {"random-F2": (F2, 4), "random-F3": (F3, 3), "random-F4": (build_field(2, 2), 3)}
+POINT_CHECK_INPUTS = list(PINNED_MODIFY) + list(RANDOM_MODIFY)
 
 
-@pytest.mark.parametrize(
-    "name, a, s_max, max_points",
-    [("modify", "1,1,0,1", 3, 1), ("modify20-f2", "1,0,0,0", 2, 20),
-     ("modify20-f3", "1,0,0,0", 2, 20)],
-    ids=["modify", "modify20-f2", "modify20-f3"],
-)
-def test_point_checks_reduce_only_initial_forms(monkeypatch, name, a, s_max, max_points):
-    # the pinned modify inputs: a smooth checked point reaches the kernel
-    # once, at e = 1, on its gradient's linear form; a singular one only on
-    # in(shifted), at e = 1 alone when that is square-free supported (the
-    # digit path) and at e = 1 and e = 2 otherwise.  The shifted power is
-    # never reduced, and no order is taken at a smooth point
-    parsed = parse_poly_file(os.path.join(PINNED, f"{name}.poly"))
-    coeffs = parse_point(parsed.field, a, parsed.varctx.n)
-    calls = _recording_kernel(monkeypatch)
-    shifted_at, orders = [], []
-    shift, order_and_initial = Poly.shift, Poly.order_and_initial
+def _point_check_inputs(name):
+    """(f, s_max, max_points, records) for the modify point checks: the f
+    of a pinned modify input with the records modification_build made,
+    or six random g*l + h with no records."""
+    if name in PINNED_MODIFY:
+        a, s_max, max_points = PINNED_MODIFY[name]
+        parsed = parse_poly_file(os.path.join(PINNED, f"{name}.poly"))
+        coeffs = parse_point(parsed.field, a, parsed.varctx.n)
+        result = modification_build(parsed.polys["g"], parsed.polys["h"], coeffs,
+                                    s_max=s_max, max_points=max_points)
+        return [(result.f, s_max, max_points, result.point_checks)]
+    fld, n = RANDOM_MODIFY[name]
+    rng = random.Random(fld.order)
+    return [(random_modified(fld, n, rng), 2, 20, None) for _ in range(6)]
 
-    def recording_shift(self, point):
-        shifted_at.append(tuple(point))
-        return shift(self, point)
 
-    def recording_order(self):
-        orders.append(order_and_initial(self)[0])
-        return order_and_initial(self)
-
-    monkeypatch.setattr(Poly, "shift", recording_shift)
-    monkeypatch.setattr(Poly, "order_and_initial", recording_order)
-    result = modification_build(parsed.polys["g"], parsed.polys["h"], coeffs,
-                                s_max=s_max, max_points=max_points)
-    monkeypatch.undo()
-    assert len(result.point_checks) == max_points
-    n = result.f.vars.n
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    # the checked points reach the kernel last (the walk past them does not);
-    # recompute their shifted polynomials
-    expected = []
-    kinds = set()
-    for check in result.point_checks:
-        big = level_field(parsed.field, check["s"])
+def _checked_points(f, checks):
+    """(check, point, f shifted to it) for each check record."""
+    for check in checks:
+        big = level_field(f.field, check["s"])
         point = tuple(big.decode(k) for k in check["point"])
-        shifted = result.f.embed(big).shift(point)
-        linear = Poly(big, shifted.vars,
-                      {u: shifted.terms[u] for u in units if u in shifted.terms})
-        if not linear.is_zero():
-            kinds.add("smooth")
-            assert check["ord"] == 1 and point not in shifted_at
-            expected.append((linear, 1))
-            continue
-        initial = shifted.order_and_initial()[1]
-        assert check["ord"] == sum(next(iter(initial.terms))) >= 2
-        assert point in shifted_at
-        if squarefree_offender(initial) is None:
-            kinds.add("singular, square-free initial form")
-            expected.append((initial, 1))
-        else:
+        yield check, point, f.embed(big).shift(point)
+
+
+@pytest.mark.parametrize("name", POINT_CHECK_INPUTS, ids=POINT_CHECK_INPUTS)
+def test_point_checks_reduce_only_initial_forms(monkeypatch, name):
+    # a smooth checked point, and a singular one whose initial form is
+    # square-free supported, get their samples in closed form and never
+    # reach the kernel; any other checked point reaches it on in(shifted)
+    # at e = 1 and e = 2, and on the shifted polynomial where the initial
+    # power dies.  No order is taken at a smooth point, and each shifted
+    # point, checked or past the checks, is shifted once and has its order
+    # taken once, and it is singular
+    kinds = set()
+    for f, s_max, max_points, records in _point_check_inputs(name):
+        calls = _recording_kernel(monkeypatch)
+        shifted_at, orders = [], []
+        shift, order_and_initial = Poly.shift, Poly.order_and_initial
+
+        def recording_shift(self, point):
+            shifted_at.append(tuple(point))
+            return shift(self, point)
+
+        def recording_order(self):
+            orders.append(order_and_initial(self)[0])
+            return order_and_initial(self)
+
+        monkeypatch.setattr(Poly, "shift", recording_shift)
+        monkeypatch.setattr(Poly, "order_and_initial", recording_order)
+        _, checks, _ = hypersurface_point_checks(f, s_max=s_max, max_points=max_points)
+        monkeypatch.undo()
+        assert len(checks) == max_points and all(c["ok"] for c in checks)
+        assert records is None or checks == records
+        n = f.vars.n
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        expected = []
+        for check, point, shifted in _checked_points(f, checks):
+            if any(u in shifted.terms for u in units):
+                kinds.add("smooth")
+                assert check["ord"] == 1 and point not in shifted_at
+                continue
+            initial = shifted.order_and_initial()[1]
+            assert check["ord"] == sum(next(iter(initial.terms))) >= 2
+            assert point in shifted_at
+            if squarefree_offender(initial) is None:
+                kinds.add("singular, square-free initial form")
+                continue
             kinds.add("singular")
-            expected += [(initial, 1), (initial, 2)]
-    assert kinds - {"smooth"} and ("smooth" in kinds or max_points == 1)
-    assert calls[len(calls) - len(expected):] == expected
-    # before them, only the square-free supported model is reduced
-    assert all(
-        squarefree_offender(g) is None for g, _ in calls[:len(calls) - len(expected)]
-    )
-    # each shifted point, checked or past the checks, is shifted once and
-    # has its order taken once, and it is singular
-    assert len(set(shifted_at)) == len(shifted_at) == len(orders)
-    assert min(orders) >= 2
+            for e in (1, 2):
+                expected.append((initial, e))
+                if naive_kernel(initial, e).is_zero():
+                    expected.append((shifted, e))
+        assert calls == expected
+        assert len(set(shifted_at)) == len(shifted_at) == len(orders)
+        assert min(orders, default=2) >= 2
+    if name in PINNED_MODIFY:
+        # no checked point of the pinned inputs reaches the kernel
+        assert "singular" not in kinds and "singular, square-free initial form" in kinds
+    else:
+        assert len(kinds) == 3
+
+
+@pytest.mark.parametrize("name", POINT_CHECK_INPUTS, ids=POINT_CHECK_INPUTS)
+def test_point_check_records_match_full_expansion(name):
+    # the closed-form records rest on the digit and initial-form lemmas;
+    # recompute every checked point's samples from the shifted polynomial,
+    # through the kernel with no initial form handed over and by fully
+    # expanding its powers
+    for f, s_max, max_points, _ in _point_check_inputs(name):
+        _, checks, _ = hypersurface_point_checks(f, s_max=s_max, max_points=max_points)
+        for check, point, shifted in _checked_points(f, checks):
+            assert check["ord"] == shifted.order_and_initial()[0]
+            by_kernel = list(_threshold_samples(shifted, (1, 2)))
+            by_definition = [_sample_by_definition(shifted, e) for e in (1, 2)]
+            assert by_kernel == by_definition
+            assert check["samples"] == [
+                {"e": x.e, "num": x.lam.numerator, "den": x.lam.denominator}
+                for x in by_definition
+            ]
 
 
 def test_crosscheck_reduces_only_the_first_power(monkeypatch):

@@ -19,7 +19,7 @@ from fsing import (
 )
 from fsing.errors import PointNotOnVarietyError, ZeroInputError
 from fsing.field import level_field
-from fsing.invariants import SEARCH_BUDGET, gradient_evaluator, level_zeros, search_levels
+from fsing.invariants import SEARCH_BUDGET, level_zeros, search_levels, smooth_at
 from fsing.pipeline import random_sqfree
 
 F2 = build_field(2)
@@ -194,9 +194,12 @@ def random_part(fld, ctx, rng, block, max_exp, terms):
     return Poly(fld, ctx, out)
 
 
-# (base field, level, variables): grids of at most 729 points
-LEVELS = [(F2, 1, 4), (F3, 1, 4), (F4, 1, 4), (F9, 1, 3), (F2, 2, 4), (F3, 2, 3)]
-LEVEL_IDS = ["F2", "F3", "F4", "F9", "F2-level2", "F3-level2"]
+# (base field, level, variables): grids of at most 729 points; levels 3
+# and 4 have Frobenius orbits of length 3 and 4
+LEVELS = [(F2, 1, 4), (F3, 1, 4), (F4, 1, 4), (F9, 1, 3), (F2, 2, 4), (F3, 2, 3),
+          (F2, 3, 3), (F2, 4, 2), (F4, 2, 2)]
+LEVEL_IDS = ["F2", "F3", "F4", "F9", "F2-level2", "F3-level2",
+             "F2-level3", "F2-level4", "F4-level2"]
 
 
 def walker_cases(base, s, n, seed):
@@ -215,11 +218,15 @@ def walker_cases(base, s, n, seed):
         cases.append([random_part(base, ctx, rng, b, 1, 3) for b in blocks])
         cases.append([random_part(base, ctx, rng, everything, 2, 6)])
         cases.append([random_part(base, ctx, rng, {0, 1}, 1, 3), Poly.zero(base, ctx)])
-    # g*(1 + x0 + x2) + h in the shape of the modification construction
-    g = mk(base, ctx, {(1, 1) + (0,) * (n - 2): 1, (0, 0, 1) + (0,) * (n - 3): 1})
-    ell = mk(base, ctx, {(0,) * n: 1, (1,) + (0,) * (n - 1): 1, (0, 0, 1) + (0,) * (n - 3): 1})
-    h = mk(base, ctx, {(1, 1, 1) + (0,) * (n - 3): 1})
-    cases.append([g * ell + h])
+    if n >= 3:
+        # g*(1 + x0 + x2) + h in the shape of the modification construction
+        g = mk(base, ctx, {(1, 1) + (0,) * (n - 2): 1, (0, 0, 1) + (0,) * (n - 3): 1})
+        ell = mk(base, ctx, {(0,) * n: 1, (1,) + (0,) * (n - 1): 1, (0, 0, 1) + (0,) * (n - 3): 1})
+        h = mk(base, ctx, {(1, 1, 1) + (0,) * (n - 3): 1})
+        cases.append([g * ell + h])
+    # (x0 + x1)^2 is singular all along x0 = -x1, new points included
+    line = Poly.variable(base, ctx, 0) + Poly.variable(base, ctx, 1)
+    cases.append([line * line])
     cases.append([Poly.zero(base, ctx)])
     return [[g.embed(big) for g in polys] for polys in cases]
 
@@ -230,21 +237,44 @@ def test_level_zeros_match_brute_force_in_grid_order(base, s, n):
         assert list(level_zeros(polys, base, s)) == brute_zeros(polys, base, s), k
 
 
+def grid_index(big, point):
+    return sum(big.encode(a) * big.order**i for i, a in enumerate(point))
+
+
+@pytest.mark.parametrize("base, s, n", LEVELS, ids=LEVEL_IDS)
+def test_orbit_walk_yields_the_least_member_of_each_orbit(base, s, n):
+    # phi(a) = a^|base| fixes the coefficients, so the zeros new at level s
+    # fall into orbits of s conjugates; the orbit walk keeps, in grid
+    # order, the one of least grid index, and at s = 1 it is the full walk
+    big = level_field(base, s)
+    for k, polys in enumerate(walker_cases(base, s, n, seed=13 * s + base.order)):
+        zeros = brute_zeros(polys, base, s)
+        least = []
+        for point in zeros:
+            conjugates = [tuple(big.pow(a, base.order**j) for a in point) for j in range(s)]
+            assert len(set(conjugates)) == s and all(c in zeros for c in conjugates)
+            if grid_index(big, point) == min(grid_index(big, c) for c in conjugates):
+                least.append(point)
+        orbits = list(level_zeros(polys, base, s, orbits=True))
+        assert orbits == least and len(zeros) == s * len(orbits), k
+        if s == 1:
+            assert orbits == list(level_zeros(polys, base, s)), k
+
+
 @pytest.mark.parametrize("base, s, n", LEVELS, ids=LEVEL_IDS)
 def test_first_partials_order_matches_shift(base, s, n):
-    # the gradient helper gives the degree-one coefficients of the shift,
-    # and the walk of V(g, dg) is exactly the zeros of shift order >= 2
-    big = level_field(base, s)
+    # a zero is smooth exactly where the shift has a degree-one part, and
+    # the walk of V(g, dg) is exactly the zeros of shift order >= 2
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     seen = set()
     for polys in walker_cases(base, s, n, seed=17 * s + base.order):
         for g in (g for g in polys if not g.is_zero()):
             partials = [g.derivative(i) for i in range(n)]
-            gradient = gradient_evaluator(partials)
+            smooth = smooth_at(partials)
             singular = []
             for point in brute_zeros([g], base, s):
                 shifted = g.shift(point)
-                assert gradient(point) == [shifted.terms.get(u, big.zero) for u in units]
+                assert smooth(point) == any(u in shifted.terms for u in units)
                 order = shifted.order_and_initial()[0]
                 seen.add(order)
                 if order >= 2:
@@ -282,7 +312,9 @@ def test_global_invariants_match_exhaustive_on_products(order, seed):
     moved = [Q0.factors[0] + Poly.constant(fld, Q0.vars, 1)] + Q0.factors[1:]
     for factors in (Q0.factors, moved):
         Q = CIdeal(fld, Q0.vars, factors, fld.one)
-        for s_max in (1, 2):
+        # level 3 over F_2 has orbits of prime length 3; F_27^4 is too large
+        # a grid for the brute force, and F_4 has no level 3
+        for s_max in (1, 2, 3) if order == 2 else (1, 2):
             expected = first_maximizer(Q, s_max)
             if expected is None:
                 with pytest.raises(PointNotOnVarietyError):

@@ -11,7 +11,7 @@ import pytest
 
 import fsing.cli
 import fsing.pipeline
-from conftest import mk
+from conftest import mk, random_modified
 from fsing import (
     CIdeal,
     Poly,
@@ -29,6 +29,7 @@ from fsing import (
     theorem_suite,
     verify_exchange,
     SuiteConfig,
+    build_report,
 )
 from fsing.cli import main
 from fsing.errors import (
@@ -316,6 +317,15 @@ def test_suite_reports_are_reproducible():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def test_build_report_rejects_an_unknown_status():
+    # an exit code is read off the status, so a bad one must fail loudly,
+    # also under python -O, which strips asserts
+    report = build_report({"p": 2}, ["x"], {}, {}, "pass")
+    assert report["status"] == "pass"
+    with pytest.raises(ValueError, match="status"):
+        build_report({"p": 2}, ["x"], {}, {}, "passed")
+
+
 def test_suite_extra_inputs_and_skips():
     ctx = VarCtx(("x", "y"))
     good = mk(F2, ctx, {(1, 0): 1, (0, 1): 1})
@@ -430,23 +440,6 @@ def test_point_checks_walk_each_level_once():
     assert len(by_level[1]) == 4 and len(by_level[2]) == 12
 
 
-def _random_modified(fld, n, rng):
-    """g*(1 + sum a_i x_i) + h with random square-free supported forms g
-    of degree 1 or 2 and h of one degree more, as modify builds them."""
-    ctx = VarCtx(tuple(f"x{i}" for i in range(n)))
-
-    def form(d):
-        monomials = [m for m in product((0, 1), repeat=n) if sum(m) == d]
-        chosen = rng.sample(monomials, rng.randint(1, len(monomials)))
-        return Poly(fld, ctx, {m: fld.decode(rng.randrange(1, fld.order)) for m in chosen})
-
-    ell = Poly.constant(fld, ctx, 1)
-    for i in range(n):
-        ell = ell + Poly.variable(fld, ctx, i).scale(fld.decode(rng.randrange(fld.order)))
-    d = rng.randint(1, 2)
-    return form(d) * ell + form(d + 1)
-
-
 @pytest.mark.parametrize("fld, n", [(F2, 4), (F3, 3), (build_field(2, 2), 3)],
                          ids=["F2", "F3", "F4"])
 def test_point_checks_best_is_the_maximum_order(fld, n):
@@ -456,7 +449,7 @@ def test_point_checks_best_is_the_maximum_order(fld, n):
     rng = random.Random(7 * fld.order + n)
     raised = 0
     for _ in range(6):
-        f = _random_modified(fld, n, rng)
+        f = random_modified(fld, n, rng)
         expected = 0
         for s in (1, 2):
             big = level_field(fld, s)
