@@ -164,12 +164,12 @@ def _check_poly(field, varctx, name, f, args):
         if tests == "certificate":
             return entry, status
     origin = tuple(field.zero for _ in range(varctx.n))
-    point = parse_point(field, args.point, varctx.n) if args.point else origin
+    point = parse_point(field, args.point, varctx.n) if args.point is not None else origin
     try:
         rep = dfpt_at(Q, point)
         entry["invariants"] = render_invariants(field, rep)
     except PointNotOnVarietyError:
-        if args.point:
+        if args.point is not None:
             raise
         rep = global_invariants(Q, s_max=args.s_max)
         entry["invariants"] = _render_search_point(field, rep)
@@ -312,7 +312,10 @@ def _cmd_modify(args) -> int:
     g = parsed.polys[args.g]
     h = parsed.polys[args.h]
     n = parsed.varctx.n
-    coeffs = parse_point(field, args.a, n) if args.a else tuple(field.zero for _ in range(n))
+    coeffs = (
+        parse_point(field, args.a, n) if args.a is not None
+        else tuple(field.zero for _ in range(n))
+    )
     result = modification_build(g, h, coeffs, s_max=args.s_max, max_points=args.max_points)
     status = "pass"
     if not result.verified or any(not c["ok"] for c in result.point_checks):

@@ -55,7 +55,7 @@ lambda(e) = n - d at every e, and the modify point checks
 (:func:`fsing.pipeline.hypersurface_point_checks`) write their records
 in closed form without reducing any power.  At a smooth point a of a
 hypersurface, in(f(x + a)) is the linear form sum_i d_i f(a) * x_i (the
-singular-locus lemma in :mod:`fsing.invariants`), which is square-free
+Taylor lemma in :mod:`fsing.invariants`), which is square-free
 supported, so lambda(e) = n - 1 as soon as some first partial is
 nonzero at a, and f is not shifted.  At a singular point, f is shifted
 and lambda(e) = n - d whenever in(f(x + a)) is square-free supported.

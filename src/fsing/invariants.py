@@ -8,30 +8,39 @@ contributions of the factors sum.  The defect of the F-pure threshold
 then has the closed form mult - t, with dim = n - t and
 fpt = dim - dfpt = n - mult.
 
-Points of order above 1 (the singular-locus lemma).  The degree-one
-coefficients of g(x + a) are the first partials of g at a, in every
-characteristic: (x_i + a_i)^k contributes k * a_i^(k-1) * x_i, and the
-partial of x_i^k is k * x_i^(k-1), with the same integer k read mod p.
-So a zero of g has order 1 exactly where some first partial is nonzero,
-and the zeros of order at least 2 are the common zeros V(g, d_0 g, ...,
-d_(n-1) g) of g and its partials.  For t factors the multiplicity is
-the sum of the factors' orders, so it exceeds t only where some factor
-has order at least 2: a point of V(g_1, ..., g_t) with mult > t lies in
-the union over j of V(g_1, ..., g_t, d_0 g_j, ..., d_(n-1) g_j).  The
-point searches walk these sets for orders above 1 and take no order at
-a smooth zero.
+Points of high order (the Taylor lemma).  For every exponent vector
+alpha, the coefficient of x^alpha in g(x + a) is the Hasse derivative
+D^alpha g(a), where D^alpha g = sum_e binom(e, alpha) * c_e * x^(e - alpha)
+and binom(e, alpha) = prod_i binom(e_i, alpha_i) mod p
+(:meth:`fsing.poly.Poly.hasse_layer`).  This is Taylor's formula with
+binomials in place of factorials, so it holds in every characteristic:
+(x_i + a_i)^e_i contributes binom(e_i, alpha_i) * a_i^(e_i - alpha_i) *
+x_i^alpha_i.  So a zero a of g has order above b only where D^alpha g(a)
+= 0 for every |alpha| = b, and the zeros of order above b lie in the
+common zeros V(g, D^alpha g : |alpha| = b) of g and its layer of order
+b.  At b = 1 the layer is the first partials, which gives the singular
+locus: a zero has order 1 exactly where some first partial is nonzero.
+For t factors the multiplicity is the sum of the factors' orders, each
+at least 1, so it exceeds m only where some factor g_j has order at
+least floor(m/t) + 1: a point of V(g_1, ..., g_t) with mult > m lies in
+the union over j of V(g_1, ..., g_t, D^alpha g_j : |alpha| = floor(m/t)),
+and only factors of degree above floor(m/t) can contribute.  The
+binomials lie in F_p, so every layer has its coefficients in the field
+of g and the orbit lemma below applies to it.  The point searches walk
+these sets for orders above the best one found and take no order at a
+smooth zero.
 
 Conjugate points share their orders (the orbit lemma).  Let the
 coefficients of g lie in base = F_{p^k} and let phi(a) = a^(p^k) on an
 extension of base.  phi is a ring automorphism that fixes base, so
 applying it to the coordinates of a point a and to the coefficients of
 g(x + a) gives g(x + phi(a)): g vanishes at phi(a) exactly when it
-vanishes at a, with the same order, and so do its partials, whose
-coefficients lie in base too.  A search over the level F_{p^(k*s)} that
-only maximizes an order therefore needs one point per orbit
-{a, phi(a), ..., phi^(s-1)(a)}, and the singular walks take the member
-of least grid index, which is also the point a search in grid order
-meets first.
+vanishes at a, with the same order, and so do its Hasse derivatives,
+whose coefficients lie in base too.  A search over the level
+F_{p^(k*s)} that only maximizes an order therefore needs one point per
+orbit {a, phi(a), ..., phi^(s-1)(a)}, and the walks of the Taylor lemma
+take the member of least grid index, which is also the point a search
+in grid order meets first.
 """
 
 from __future__ import annotations
@@ -141,10 +150,18 @@ def level_zeros(polys, base, s, orbits=False):
     partial substitution of its prefix and is pruned as soon as some
     polynomial becomes a nonzero constant, the polynomials being tried in
     the order given; a polynomial that becomes zero drops out, and once
-    none is left every completion is a zero.  When no polynomial has x_0
-    to a power above 1, each one left at the last step is A*x_0 + B with
-    A nonzero, and x_0 = -B/A is solved for instead of walking the field.
-    Zero polynomials impose no condition.
+    none is left every completion is a zero.  The inputs of degree at most
+    1, such as a layer of order deg g - 1 of the Taylor lemma in the
+    module docstring, are replaced by the reduced echelon basis of their
+    span, which has the same common zeros, and go first, the row of the
+    highest pivot leading.  Each row has its pivot, with coefficient 1,
+    on its lowest-index variable, so it becomes a constant as soon as its
+    pivot is substituted and prunes every value but one there; a span
+    that holds a nonzero constant has no zeros, and the walk yields
+    nothing.  When no polynomial has x_0 to a power above 1, each one left
+    at the last step is A*x_0 + B with A nonzero, and x_0 = -B/A is solved
+    for instead of walking the field.  Zero polynomials impose no
+    condition.
     """
     big = level_field(base, s)
     n = polys[0].vars.n
@@ -265,9 +282,53 @@ def level_zeros(polys, base, s, orbits=False):
                 yield from walk(i, nxt, mm)
 
     parts = [g.terms for g in polys if g.terms]
-    if any(len(d) == 1 and (0,) * n in d for d in parts):
+    rows = _linear_echelon([d for d in parts if _is_linear(d)], big, n)
+    if rows is None:
         return
+    parts = rows + [d for d in parts if not _is_linear(d)]
     yield from walk(n, parts, (1 << (s - 1)) - 1)
+
+
+def _is_linear(terms):
+    return all(sum(e) <= 1 for e in terms)
+
+
+def _linear_echelon(linear, big, n):
+    """Reduced echelon basis of the span of the term tables in linear, all
+    of degree at most 1 over big, as term tables, or None when the span
+    holds a nonzero constant.
+
+    Each row has coefficient 1 on its pivot, the lowest-index variable it
+    has, and 0 on the pivots of the other rows; the rows come in
+    decreasing pivot order.
+    """
+    zero, mul, sub = big.zero, big.mul, big.sub
+    rows = {}  # pivot -> coefficients of x_0, ..., x_(n-1) and of 1
+    for d in linear:
+        v = [zero] * (n + 1)
+        for e, c in d.items():
+            v[e.index(1) if any(e) else n] = c
+        for piv, row in rows.items():
+            c = v[piv]
+            if c != zero:
+                v = [sub(a, mul(c, b)) for a, b in zip(v, row)]
+        piv = next((i for i, a in enumerate(v) if a != zero), None)
+        if piv is None:
+            continue  # in the span already
+        if piv == n:
+            return None
+        inv = big.inv(v[piv])
+        v = [mul(inv, a) for a in v]
+        for other in list(rows):
+            c = rows[other][piv]
+            if c != zero:
+                rows[other] = [sub(a, mul(c, b)) for a, b in zip(rows[other], v)]
+        rows[piv] = v
+    monomials = [tuple(int(j == i) for j in range(n)) for i in range(n)] + [(0,) * n]
+    return [
+        {e: c for e, c in zip(monomials, rows[piv]) if c != zero}
+        for piv in sorted(rows, reverse=True)
+    ]
 
 
 def search_levels(base, n: int, s_max: int, budget: int):
@@ -288,20 +349,21 @@ def search_levels(base, n: int, s_max: int, budget: int):
     return levels, len(levels) < s_max
 
 
-def smooth_at(partials):
+def smooth_at(g):
     """Predicate on the zeros a of g: some first partial of g is nonzero
-    at a, so a is a smooth zero of order 1 (the singular-locus lemma in
-    the module docstring); partials lists d_0 g, ..., d_(n-1) g.
+    at a, so a is a smooth zero of order 1 (the Taylor lemma in the module
+    docstring at b = 1).
 
-    The partials are summed from per-element power tables without
-    shifting g, the fewest-term ones first, and the sum stops at the
-    first nonzero one.
+    The partials, the layer of order 1 (:meth:`fsing.poly.Poly.hasse_layer`),
+    are summed from per-element power tables without shifting g, the
+    fewest-term ones first, and the sum stops at the first nonzero one.
     """
-    fld = partials[0].field
+    fld = g.field
     zero, add, mul = fld.zero, fld.add, fld.mul
+    partials = sorted(g.hasse_layer(1).values(), key=lambda d: len(d.terms))
     terms = [
         [(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in d.terms.items()]
-        for d in sorted((d for d in partials if d.terms), key=lambda d: len(d.terms))
+        for d in partials
     ]
     powers = _power_table(fld, _top_exponent(partials))
 
@@ -334,16 +396,17 @@ def global_invariants(Q: CIdeal, s_max: int = 3, budget: int = SEARCH_BUDGET):
     skipped point repeats an earlier multiplicity, and only a strictly
     larger one replaces the best, so the report is the first maximizer
     in search order.  Until some point is found, a level's first zero is
-    taken; past it only a point of multiplicity above t can win, and
-    such a point is singular on some factor g_j (the singular-locus
-    lemma in the module docstring), so each level walks V(Q, dg_j) for
-    every j and keeps, among the points of the level's largest
-    multiplicity, the one of least grid index.  Conjugate points share
-    their multiplicity (the orbit lemma in the module docstring), so the
-    walks yield only the least-index member of each Frobenius orbit,
-    which is the point kept when its orbit holds the maximum; the
-    partials come first in a walk, so a constant partial prunes before
-    the factors are substituted.  A level whose full grid
+    taken; past it only a point of multiplicity above the best one m can
+    win, and at such a point some factor g_j has order above k =
+    floor(m/t) (the Taylor lemma in the module docstring).  So each level
+    walks V(Q, D^alpha g_j : |alpha| = k) for every j with deg g_j > k
+    (at m = t the singular loci of the factors) and keeps, among the
+    points of the level's largest multiplicity, the one of least grid
+    index.  Conjugate points share their multiplicity (the orbit lemma in
+    the module docstring), so the walks yield only the least-index member
+    of each Frobenius orbit, which is the point kept when its orbit holds
+    the maximum; the layer comes first in a walk, so a constant in it
+    prunes before the factors are substituted.  A level whose full grid
     exceeds the budget, or whose degree leaves the supported range, is
     skipped and flagged.  The report is exact when every factor is
     homogeneous (the maximum then sits at the origin); otherwise it is a
@@ -363,9 +426,12 @@ def global_invariants(Q: CIdeal, s_max: int = 3, budget: int = SEARCH_BUDGET):
                 continue
             best = _report(first, _order_sum(factors, first), n, t)
         found = {}
+        k = best.mult // t
         for g in factors:
-            partials = [g.derivative(i) for i in range(n)]
-            for point in level_zeros(partials + factors, Q.field, s, orbits=True):
+            if g.total_degree() <= k:
+                continue  # the order of g is at most its degree
+            layer = list(g.hasse_layer(k).values())
+            for point in level_zeros(layer + factors, Q.field, s, orbits=True):
                 if point not in found:
                     found[point] = _order_sum(factors, point)
         top = max(found.values(), default=0)

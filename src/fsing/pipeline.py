@@ -343,14 +343,18 @@ def hypersurface_point_checks(
     order, coordinate 0 least significant, without the points of earlier
     levels (those with every coordinate in one proper subfield), from
     :func:`fsing.invariants.level_zeros`.  The first max_points zeros get
-    a check record.  Past them only orders above 1 can raise the maximum,
-    and those sit on the singular locus (the singular-locus lemma in
-    :mod:`fsing.invariants`), so the rest of that level and every later
-    level walk V(d_0 f, ..., d_(n-1) f, f) instead, partials first so a
-    constant partial prunes before f is substituted.  Conjugate points
-    share their order (the orbit lemma in :mod:`fsing.invariants`), so
-    that walk yields one point per Frobenius orbit, and only the points
-    of it that have no record are shifted.
+    a check record.  Past them only orders above the best one b can raise
+    the maximum, and those sit where f and its Hasse derivatives of order
+    b vanish (the Taylor lemma in :mod:`fsing.invariants`), so the rest of
+    that level and every later level walk V(D^alpha f : |alpha| = b, f)
+    instead, with b the best order when the walk starts: the singular
+    locus at b = 1, linear equations at b = deg f - 1, which the walker
+    reduces to echelon form, and a nonzero constant at b = deg f.  The
+    layer comes first, so a constant in it prunes before f is
+    substituted.  Conjugate points share their order (the orbit lemma in
+    :mod:`fsing.invariants`), so that walk yields one point per Frobenius
+    orbit, and only the points of it that have no record are shifted for
+    their exact order.
 
     Each check record holds the threshold samples at e = 1 and e = 2, in
     closed form wherever the theory fixes them.  A checked point where
@@ -377,11 +381,10 @@ def hypersurface_point_checks(
     levels, budget_exceeded = search_levels(base, n, s_max, budget)
     for s, big in levels:
         fe = f.embed(big)
-        partials = [fe.derivative(i) for i in range(n)]
         checked = set()
         # until the records are full (and some zero is seen), walk all of V(f)
         if len(checks) < max_points or not best:
-            smooth = smooth_at(partials)
+            smooth = smooth_at(fe)
             for point in level_zeros([fe], base, s):
                 if len(checks) >= max_points:
                     best = max(best, 1)  # a zero, if max_points is 0 the first
@@ -391,7 +394,8 @@ def hypersurface_point_checks(
                 best = max(best, checks[-1]["ord"])
             else:
                 continue  # every zero of the level got a record
-        for point in level_zeros(partials + [fe], base, s, orbits=True):
+        layer = list(fe.hasse_layer(best).values())
+        for point in level_zeros(layer + [fe], base, s, orbits=True):
             if point not in checked:
                 best = max(best, fe.shift(point).order_and_initial()[0])
     return best, checks, budget_exceeded

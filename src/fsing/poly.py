@@ -258,19 +258,65 @@ class Poly:
 
     # -- calculus and evaluation -------------------------------------------
 
-    def derivative(self, i: int) -> "Poly":
+    def hasse_layer(self, k: int) -> dict:
+        """The nonzero Hasse derivatives of order k, keyed by alpha, |alpha| = k.
+
+        D^alpha f = sum_e binom(e, alpha) * c_e * x^(e - alpha), where
+        binom(e, alpha) = prod_i binom(e_i, alpha_i) mod p, so that
+        D^alpha f(a) is the coefficient of x^alpha in f(x + a) (Taylor's
+        formula, which holds in every characteristic).  At k = 1 the layer
+        holds the nonzero first partials.  The binomials lie in F_p, so
+        the layer has its coefficients in the field of f.  One pass over
+        the terms builds the whole layer, listing the alpha <= e of a term
+        once per tuple of nonzero exponents; the keys come in decreasing
+        lexicographic order, d_0 f first at k = 1.
+        """
         fld = self.field
-        out = {}
+        mul, add, zero, p = fld.mul, fld.add, fld.zero, fld.p
+        n = self.vars.n
+        lowerings = {}  # nonzero exponents of e -> [(alpha on them, binom mod p)]
+
+        def lower(vs):
+            partial = [((), 1, k)]  # (alpha so far, binom so far, degree left)
+            for v in vs:
+                grown = []
+                for js, b, left in partial:
+                    for j in range(min(v, left) + 1):
+                        bj = b * math.comb(v, j) % p
+                        if bj:
+                            grown.append((js + (j,), bj, left - j))
+                partial = grown
+            rows = lowerings[vs] = [(js, b) for js, b, left in partial if not left]
+            return rows
+
+        layers = {}
         for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            coeff = fld.mul(c, fld.scalar(k))
-            if coeff == fld.zero:
-                continue
-            ne = e[:i] + (k - 1,) + e[i + 1 :]
-            out[ne] = coeff
-        return Poly(fld, self.vars, out)
+            support = [i for i, v in enumerate(e) if v]
+            vs = tuple(e[i] for i in support)
+            for js, b in lowerings.get(vs) or lower(vs):
+                alpha = [0] * n
+                for i, j in zip(support, js):
+                    alpha[i] = j
+                alpha = tuple(alpha)
+                rest = tuple(map(operator.sub, e, alpha))
+                coeff = c if b == 1 else mul(c, fld.scalar(b))
+                out = layers.get(alpha)
+                if out is None:
+                    layers[alpha] = {rest: coeff}
+                    continue
+                cur = out.get(rest)
+                if cur is None:
+                    out[rest] = coeff
+                else:
+                    merged = add(cur, coeff)
+                    if merged == zero:
+                        del out[rest]
+                    else:
+                        out[rest] = merged
+        return {
+            alpha: Poly(fld, self.vars, layers[alpha])
+            for alpha in sorted(layers, reverse=True) if layers[alpha]
+        }
 
     def evaluate(self, point):
         fld = self.field

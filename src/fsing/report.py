@@ -9,8 +9,8 @@ time- or path-dependent belongs in here.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 VERSION = "0.1.0"
 
@@ -93,7 +93,57 @@ def build_report(field_info, varnames, input_info, results, status):
 
 
 def to_json(report) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(report, sort_keys=True, indent=2) + "\\n"``.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder; this one
+    renders only what reports hold (str, int, bool, None, lists, dicts
+    with str keys) and raises TypeError on anything else.
+    """
+    return _encode(report, "\n") + "\n"
+
+
+# renderers of the scalar types, looked up by exact type; subclasses take
+# the isinstance tests at the end of _encode
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _encode(value, newline):
+    """JSON text of value, its nested lines indented past newline."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {type(key).__name__}")
+        parts = []
+        for key in sorted(value):
+            item = value[key]
+            leaf = _LEAVES.get(type(item))
+            parts.append(encode_basestring_ascii(key) + ": "
+                         + (leaf(item) if leaf else _encode(item, inner)))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        parts = []
+        for item in value:
+            leaf = _LEAVES.get(type(item))
+            parts.append(leaf(item) if leaf else _encode(item, inner))
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"a report cannot hold {type(value).__name__}")
 
 
 def text_summary(report) -> str:

@@ -202,9 +202,20 @@ LEVEL_IDS = ["F2", "F3", "F4", "F9", "F2-level2", "F3-level2",
              "F2-level3", "F2-level4", "F4-level2"]
 
 
+def random_linear(fld, ctx, rng):
+    """Random polynomial of degree at most 1, constant term allowed."""
+    n = ctx.n
+    out = {(0,) * n: fld.decode(rng.randrange(fld.order))}
+    for i in rng.sample(range(n), rng.randint(1, n)):
+        out[tuple(int(j == i) for j in range(n))] = fld.decode(rng.randrange(1, fld.order))
+    return Poly(fld, ctx, out)
+
+
 def walker_cases(base, s, n, seed):
     """Lists of polynomials over the level field: one factor, disjoint
-    factors, modify-shaped ones with squared variables, a zero part."""
+    factors, modify-shaped ones with squared variables, a zero part, a
+    pure p-th power, and linear ones that are redundant, reordered,
+    inconsistent or mixed with nonlinear ones."""
     rng = random.Random(seed)
     big = level_field(base, s)
     ctx = VarCtx(tuple(f"x{i}" for i in range(n)))
@@ -228,6 +239,18 @@ def walker_cases(base, s, n, seed):
     line = Poly.variable(base, ctx, 0) + Poly.variable(base, ctx, 1)
     cases.append([line * line])
     cases.append([Poly.zero(base, ctx)])
+    # x0^p has order p at x0 = 0, where every first partial vanishes
+    x0 = Poly.variable(base, ctx, 0)
+    cases.append([x0 ** base.p])
+    for _ in range(3):
+        l1, l2 = random_linear(base, ctx, rng), random_linear(base, ctx, rng)
+        redundant = [l1, l2, l1 + l2, l2.scale(base.decode(rng.randrange(1, base.order)))]
+        cases.append(redundant)
+        cases.append(redundant[::-1])
+        cases.append([random_part(base, ctx, rng, everything, 2, 4), l1])
+        cases.append([l2, random_part(base, ctx, rng, everything, 1, 4), l1])
+    cases.append([x0, x0 + Poly.constant(base, ctx, 1)])
+    cases.append([random_part(base, ctx, rng, everything, 2, 4), x0 + Poly.constant(base, ctx, 1), x0])
     return [[g.embed(big) for g in polys] for polys in cases]
 
 
@@ -261,25 +284,56 @@ def test_orbit_walk_yields_the_least_member_of_each_orbit(base, s, n):
             assert orbits == list(level_zeros(polys, base, s)), k
 
 
+def degree_part(g, k):
+    """alpha -> coefficient of x^alpha in g, over the terms of degree k."""
+    return {e: c for e, c in g.terms.items() if sum(e) == k}
+
+
+@pytest.mark.parametrize("base, s, n", LEVELS, ids=LEVEL_IDS)
+def test_hasse_layers_are_the_taylor_coefficients(base, s, n):
+    # the Taylor lemma: at every zero a of g, the layer of order k takes
+    # at a the degree-k coefficients of g(x + a), for k = 1, 2, 3
+    big = level_field(base, s)
+    pth_power = 0
+    for polys in walker_cases(base, s, n, seed=19 * s + base.order):
+        for g in (g for g in polys if not g.is_zero()):
+            layers = {k: g.hasse_layer(k) for k in (1, 2, 3)}
+            for point in brute_zeros([g], base, s):
+                shifted = g.shift(point)
+                for k, layer in layers.items():
+                    values = {alpha: d.evaluate(point) for alpha, d in layer.items()}
+                    values = {alpha: c for alpha, c in values.items() if c != big.zero}
+                    assert values == degree_part(shifted, k)
+            if not layers[1] and g.total_degree() == base.p:
+                # x0^p (and (x0 + x1)^2 in characteristic 2): no first
+                # partial at all, and order p at the origin
+                origin = (big.zero,) * n
+                assert g.shift(origin).order_and_initial()[0] == base.p
+                pth_power += 1
+    assert pth_power
+
+
 @pytest.mark.parametrize("base, s, n", LEVELS, ids=LEVEL_IDS)
 def test_first_partials_order_matches_shift(base, s, n):
     # a zero is smooth exactly where the shift has a degree-one part, and
-    # the walk of V(g, dg) is exactly the zeros of shift order >= 2
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    # the walk of V(g, layer k) is exactly the zeros whose shift has no
+    # part of degree k; at k = 1 those are the zeros of order >= 2
     seen = set()
     for polys in walker_cases(base, s, n, seed=17 * s + base.order):
         for g in (g for g in polys if not g.is_zero()):
-            partials = [g.derivative(i) for i in range(n)]
-            smooth = smooth_at(partials)
-            singular = []
-            for point in brute_zeros([g], base, s):
-                shifted = g.shift(point)
-                assert smooth(point) == any(u in shifted.terms for u in units)
-                order = shifted.order_and_initial()[0]
+            smooth = smooth_at(g)
+            zeros = brute_zeros([g], base, s)
+            shifted = {point: g.shift(point) for point in zeros}
+            for point in zeros:
+                assert smooth(point) == bool(degree_part(shifted[point], 1))
+                order = shifted[point].order_and_initial()[0]
                 seen.add(order)
-                if order >= 2:
-                    singular.append(point)
-            assert list(level_zeros([g] + partials, base, s)) == singular
+                assert (order >= 2) == (not smooth(point))
+            for k in (1, 2, 3):
+                layer = list(g.hasse_layer(k).values())
+                expected = [pt for pt in zeros if not degree_part(shifted[pt], k)]
+                assert list(level_zeros([g] + layer, base, s)) == expected
+                assert list(level_zeros(layer + [g], base, s)) == expected
     assert 1 in seen and max(seen) >= 2  # smooth and singular zeros both met
 
 

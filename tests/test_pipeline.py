@@ -619,6 +619,9 @@ def test_cli_matroid(tmp_path, capsys):
         (["check", "{poly}", "--poly", "f", "--point", "9,0,0,0"], "0..1"),
         (["modify", "{poly}", "--g", "f", "--h", "h", "--a", "0,0,-1,0"], "0..1"),
         (["suite", "--p-list", ",2"], "--p-list"),
+        (["check", "{poly}", "--poly", "f", "--point", ""], "expected 4 coordinates"),
+        (["matroid", "{matroid}", "--point", ""], "expected 3 coordinates"),
+        (["modify", "{poly}", "--g", "f", "--h", "h", "--a", ""], "expected 4 coordinates"),
     ],
     ids=[
         "check", "fpt", "fpt-e-max-above-64", "matroid", "modify", "suite", "check-seed",
@@ -627,6 +630,7 @@ def test_cli_matroid(tmp_path, capsys):
         "suite-max-factors-above-n", "suite-count",
         "check-s-max", "matroid-s-max", "modify-s-max", "modify-max-points",
         "check-point-range", "modify-a-range", "suite-p-list",
+        "check-point-empty", "matroid-point-empty", "modify-a-empty",
     ],
 )
 def test_cli_usage_errors_exit_2(tmp_path, capsys, argv, named):

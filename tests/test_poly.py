@@ -96,12 +96,17 @@ def test_str_canonical_order():
     assert str(h) == "(t+1)*x"
 
 
-def test_derivative():
+def test_hasse_layer_of_order_one_is_the_first_partials():
     f = mk(F3, XY, {(2, 1): 1, (0, 1): 2})
-    assert f.derivative(0) == mk(F3, XY, {(1, 1): 2})
-    assert f.derivative(1) == mk(F3, XY, {(2, 0): 1, (0, 0): 2})
-    # char-p annihilation: d/dx x^3 = 3x^2 = 0 over F_3
-    assert mk(F3, XY, {(3, 0): 1}).derivative(0).is_zero()
+    assert f.hasse_layer(1) == {
+        (1, 0): mk(F3, XY, {(1, 1): 2}),
+        (0, 1): mk(F3, XY, {(2, 0): 1, (0, 0): 2}),
+    }
+    # char-p annihilation: d/dx x^3 = 3x^2 = 0 over F_3, so the layer of
+    # order 1 is empty while the one of order 3 holds D^(3,0) x^3 = 1
+    cube = mk(F3, XY, {(3, 0): 1})
+    assert cube.hasse_layer(1) == {} and cube.hasse_layer(2) == {}
+    assert cube.hasse_layer(3) == {(3, 0): mk(F3, XY, {(0, 0): 1})}
 
 
 def test_evaluate_and_substitute():
