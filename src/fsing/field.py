@@ -406,10 +406,6 @@ class Field:
             return (pow(a[0], self.p - 2, self.p),)
         return self._convolve_pow(a, self.order - 2)
 
-    def frobenius(self, a):
-        """The p-power map, a field automorphism fixing the prime subfield."""
-        return self.pow(a, self.p)
-
     # -- formatting ----------------------------------------------------
 
     def scalar_str(self, a) -> str:

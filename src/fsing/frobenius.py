@@ -52,7 +52,7 @@ degree d, so the least degree on supp in(f)^(p-1) is (p-1)d.  This is
 the same sample as the digit path gives for a square-free supported f
 of order d, whose least degree on supp f^(p-1) is also (p-1)d.  So
 lambda(e) = n - d at every e, and the modify point checks
-(:func:`fsing.pipeline.hypersurface_point_checks`) write their records
+(:func:`fsing.invariants.hypersurface_point_checks`) write their records
 in closed form without reducing any power.  At a smooth point a of a
 hypersurface, in(f(x + a)) is the linear form sum_i d_i f(a) * x_i (the
 Taylor lemma in :mod:`fsing.invariants`), which is square-free

@@ -26,9 +26,10 @@ least floor(m/t) + 1: a point of V(g_1, ..., g_t) with mult > m lies in
 the union over j of V(g_1, ..., g_t, D^alpha g_j : |alpha| = floor(m/t)),
 and only factors of degree above floor(m/t) can contribute.  The
 binomials lie in F_p, so every layer has its coefficients in the field
-of g and the orbit lemma below applies to it.  The point searches walk
-these sets for orders above the best one found and take no order at a
-smooth zero.
+of g and the orbit lemma below applies to it.  One point search,
+:func:`maximize`, serves :func:`global_invariants` and
+:func:`hypersurface_point_checks`: it walks these sets for multiplicities
+above the best one found, and the checks take no order at a smooth zero.
 
 Conjugate points share their orders (the orbit lemma).  Let the
 coefficients of g lie in base = F_{p^k} and let phi(a) = a^(p^k) on an
@@ -47,12 +48,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from .errors import PointNotOnVarietyError, ZeroInputError
 from .field import MAX_DEGREE, level_field
 from .frobenius import _threshold_samples
-from .structure import CIdeal
+from .poly import Poly
+from .structure import CIdeal, is_squarefree_supported
 
 SEARCH_BUDGET = 10**7
 
@@ -74,15 +76,12 @@ class InvariantReport:
 
 def dfpt_at(Q: CIdeal, point) -> InvariantReport:
     """Invariant report of the complete intersection at a given point."""
-    orders = []
     for g in Q.factors:
         if g.evaluate(point) != Q.field.zero:
             raise PointNotOnVarietyError(
                 f"factor {g} does not vanish at the given point"
             )
-        ordv, _ = g.shift(point).order_and_initial()
-        orders.append(ordv)
-    return _report(point, sum(orders), Q.vars.n, Q.t)
+    return _report(point, _order_sum(Q.factors, point), Q.vars.n, Q.t)
 
 
 def _report(point, mult: int, n: int, t: int) -> InvariantReport:
@@ -386,69 +385,160 @@ def _order_sum(factors, point):
     return sum(g.shift(point).order_and_initial()[0] for g in factors)
 
 
-def global_invariants(Q: CIdeal, s_max: int = 3, budget: int = SEARCH_BUDGET):
-    """Maximize the multiplicity over rational points of bounded height.
+def maximize(factors, base, levels, known):
+    """(mult, point): the largest multiplicity on V(factors) and the first
+    point in search order that has it, or (0, None) when there is none.
 
-    Searches the origin, then the points of V(Q) level by level for
-    s <= s_max, level s being the degree-s extension of the coefficient
-    field (:func:`search_levels`).  Within a level the points come in
-    grid order and skip those of earlier levels (:func:`level_zeros`); a
-    skipped point repeats an earlier multiplicity, and only a strictly
-    larger one replaces the best, so the report is the first maximizer
-    in search order.  Until some point is found, a level's first zero is
-    taken; past it only a point of multiplicity above the best one m can
-    win, and at such a point some factor g_j has order above k =
+    factors have their coefficients in base, and levels come from
+    :func:`search_levels`.  known maps the points examined before, in
+    search order, to their multiplicities: they start the maximum, come
+    first in search order and are never shifted again.  Within a level the
+    points come in grid order and skip those of earlier levels
+    (:func:`level_zeros`).  While no point is known, a level's first zero
+    is taken.  Past it only a point of multiplicity above the best one m
+    can win, and at such a point some factor g_j has order above k =
     floor(m/t) (the Taylor lemma in the module docstring).  So each level
-    walks V(Q, D^alpha g_j : |alpha| = k) for every j with deg g_j > k
-    (at m = t the singular loci of the factors) and keeps, among the
-    points of the level's largest multiplicity, the one of least grid
-    index.  Conjugate points share their multiplicity (the orbit lemma in
-    the module docstring), so the walks yield only the least-index member
-    of each Frobenius orbit, which is the point kept when its orbit holds
-    the maximum; the layer comes first in a walk, so a constant in it
-    prunes before the factors are substituted.  A level whose full grid
-    exceeds the budget, or whose degree leaves the supported range, is
-    skipped and flagged.  The report is exact when every factor is
-    homogeneous (the maximum then sits at the origin); otherwise it is a
-    lower bound over the searched set.
+    walks V(factors, D^alpha g_j : |alpha| = k) for every j with deg g_j > k
+    (at m = t the singular loci of the factors) and keeps, among the points
+    of the level's largest multiplicity, the one of least grid index.
+    Conjugate points share their multiplicity (the orbit lemma in the
+    module docstring), so the walks yield only the least-index member of
+    each Frobenius orbit, which is the point kept when its orbit holds the
+    maximum; the layer comes first in a walk, so a constant in it prunes
+    before the factors are substituted.  Only a strictly larger
+    multiplicity replaces the best, so the point returned is the first
+    maximizer in search order.
     """
-    n, t = Q.vars.n, Q.t
-    best = None
-    origin = tuple(Q.field.zero for _ in range(n))
-    if all(g.evaluate(origin) == Q.field.zero for g in Q.factors):
-        best = dfpt_at(Q, origin)
-    levels, budget_exceeded = search_levels(Q.field, n, s_max, budget)
+    t = len(factors)
+    point = max(known, key=known.get, default=None)
+    best = known.get(point, 0)
     for s, big in levels:
-        factors = [g.embed(big) for g in Q.factors]
-        if best is None:
-            first = next(level_zeros(factors, Q.field, s), None)
-            if first is None:
-                continue
-            best = _report(first, _order_sum(factors, first), n, t)
+        embedded = [g.embed(big) for g in factors]
         found = {}
-        k = best.mult // t
-        for g in factors:
+        if point is None:
+            point = next(level_zeros(embedded, base, s), None)
+            if point is None:
+                continue
+            best = found[point] = _order_sum(embedded, point)
+        k = best // t
+        for g in embedded:
             if g.total_degree() <= k:
                 continue  # the order of g is at most its degree
             layer = list(g.hasse_layer(k).values())
-            for point in level_zeros(layer + factors, Q.field, s, orbits=True):
-                if point not in found:
-                    found[point] = _order_sum(factors, point)
+            for z in level_zeros(layer + embedded, base, s, orbits=True):
+                if z not in found and z not in known:
+                    found[z] = _order_sum(embedded, z)
         top = max(found.values(), default=0)
-        if top > best.mult:
+        if top > best:
             q = big.order
-            first = min(
-                (point for point, mult in found.items() if mult == top),
-                key=lambda point: sum(big.encode(a) * q**i for i, a in enumerate(point)),
+            best, point = top, min(
+                (z for z, mult in found.items() if mult == top),
+                key=lambda z: sum(big.encode(a) * q**i for i, a in enumerate(z)),
             )
-            best = _report(first, top, n, t)
-    if best is None:
+    return best, point
+
+
+def global_invariants(Q: CIdeal, s_max: int = 3, budget: int = SEARCH_BUDGET):
+    """Maximize the multiplicity over rational points of bounded height.
+
+    Checks the origin, then searches the levels s <= s_max of the
+    coefficient field (:func:`search_levels`) with :func:`maximize`, so the
+    report is at the first maximizer in search order.  A level whose full
+    grid exceeds the budget, or whose degree leaves the supported range,
+    is skipped and flagged.  The report is exact when every factor is
+    homogeneous (the maximum then sits at the origin); otherwise it is a
+    lower bound over the searched set.
+    """
+    origin = tuple(Q.field.zero for _ in range(Q.vars.n))
+    known = {}
+    if all(g.evaluate(origin) == Q.field.zero for g in Q.factors):
+        known[origin] = _order_sum(Q.factors, origin)
+    levels, budget_exceeded = search_levels(Q.field, Q.vars.n, s_max, budget)
+    mult, point = maximize(Q.factors, Q.field, levels, known)
+    if point is None:
         raise PointNotOnVarietyError(
             "no rational point of the zero set found within the search budget"
         )
+    best = _report(point, mult, Q.vars.n, Q.t)
     best.exact = all(g.total_degree() == g.order_and_initial()[0] for g in Q.factors)
     best.budget_exceeded = budget_exceeded
     return best
+
+
+def hypersurface_point_checks(
+    f: Poly, s_max: int = 2, max_points: int = 20, budget: int = SEARCH_BUDGET
+):
+    """Search V(f) over small extensions; check lam(e) = n - ord pointwise.
+
+    The first max_points zeros in search order (:func:`maximize`) get a
+    check record; the records stop in the first level with a zero left
+    over, and :func:`maximize` takes the maximum order from that level on,
+    starting from the recorded orders.
+
+    Each check record holds the threshold samples at e = 1 and e = 2, in
+    closed form wherever the theory fixes them.  A checked point where
+    some first partial is nonzero (:func:`smooth_at`) has order 1 and a
+    linear initial form; a checked point where every partial vanishes is
+    shifted, and its order d and initial form in(f) are read off the
+    shifted polynomial.  When in(f) is square-free supported, which a
+    linear form is, in(f)^(q-1) survives the bracket (x_i^q) at every e
+    (the digit lemma in :mod:`fsing.frobenius`), so lam(e) = n - d (the
+    initial-form lemma there) is written down without reducing any power.
+    Only an initial form that is not square-free supported reaches the
+    Frobenius kernel, through :func:`fsing.frobenius._threshold_samples`,
+    and its record's ok bit holds exactly when in(f)^(q-1) survives the
+    bracket.  Returns (max multiplicity seen, list of per-point check
+    records, budget flag).  The threshold identity is exact for every
+    point by the supporting theory, so each record carries an ok bit
+    instead of a tolerance.
+    """
+    base = f.field
+    levels, budget_exceeded = search_levels(base, f.vars.n, s_max, budget)
+    checks, known = [], {}
+    first = 0  # the level the records stop in
+    for s, big in levels:
+        if len(checks) == max_points:
+            break
+        fe = f.embed(big)
+        smooth = smooth_at(fe)
+        zeros = level_zeros([fe], base, s)
+        for point in islice(zeros, max_points - len(checks)):
+            checks.append(_point_check(fe, s, point, smooth(point)))
+            known[point] = checks[-1]["ord"]
+        if next(zeros, None) is not None:
+            break
+        first += 1
+    best, _ = maximize([f], base, levels[first:], known)
+    return best, checks, budget_exceeded
+
+
+def _point_check(fe: Poly, s: int, point, smooth: bool) -> dict:
+    """Check record of a zero of fe at level s, smooth there or not: its
+    order, threshold samples at e = 1, 2 and ok bit."""
+    big, n = fe.field, fe.vars.n
+    samples = None  # closed form: lam(e) = n - ord at e = 1, 2
+    if smooth:
+        ordv = 1
+    else:
+        shifted = fe.shift(point)
+        ordv, initial = shifted.order_and_initial()
+        if not is_squarefree_supported(initial):
+            samples = _threshold_samples(shifted, (1, 2), initial)
+    entry = {
+        "point": [big.encode(a) for a in point],
+        "s": s, "ord": ordv, "samples": [], "ok": True,
+    }
+    if samples is None:
+        entry["samples"] = [{"e": e, "num": n - ordv, "den": 1} for e in (1, 2)]
+        return entry
+    for e, sample in zip((1, 2), samples):
+        if sample is None or sample.lam != Fraction(n - ordv):
+            entry["ok"] = False
+        if sample is not None:
+            entry["samples"].append(
+                {"e": e, "num": sample.lam.numerator, "den": sample.lam.denominator}
+            )
+    return entry
 
 
 def fpt_crosscheck(Q: CIdeal, e_list):

@@ -148,17 +148,18 @@ class _ExprParser:
         if tok[1] not in self.varctx.names:
             raise UnknownVariableError(f"unknown variable {tok[1]!r}", self.lineno, tok[2])
         idx = self.varctx.index(tok[1])
-        power = 1
+        power, col = 1, tok[2]
         nxt = self.peek()
         if nxt and nxt[0] == "op" and nxt[1] == "^":
             self.take()
             etok = self.take()
             if etok[0] != "int":
                 raise ParseError("exponent must be an integer", self.lineno, etok[2])
-            power = int(etok[1])
-            if power >= MAX_CHAR:
-                raise ParseError(f"exponent {power} out of range", self.lineno, etok[2])
-        exps[idx] += power
+            power, col = int(etok[1]), etok[2]
+        power += exps[idx]
+        if power >= MAX_CHAR:
+            raise ParseError(f"exponent {power} out of range", self.lineno, col)
+        exps[idx] = power
 
 
 def parse_poly_source(text: str) -> ParsedFile:

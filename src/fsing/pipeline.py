@@ -24,25 +24,16 @@ from .errors import (
 )
 from .field import Field, build_field
 from .frobenius import (
-    _threshold_samples,
     build_regularity_certificate,
     fsplit_witness,
     verify_regularity_certificate,
 )
-from .invariants import (
-    SEARCH_BUDGET,
-    dfpt_at,
-    fpt_crosscheck,
-    level_zeros,
-    search_levels,
-    smooth_at,
-)
+from .invariants import dfpt_at, fpt_crosscheck, hypersurface_point_checks
 from .poly import Poly, VarCtx, exact_divide
 from .structure import (
     CIdeal,
     disjoint_factorization,
     is_irreducible_sqfree,
-    is_squarefree_supported,
     squarefree_offender,
 )
 
@@ -331,103 +322,6 @@ def _extend(poly: Poly, new_ctx: VarCtx) -> Poly:
 def _is_homogeneous(f: Poly) -> bool:
     degs = {sum(e) for e in f.terms}
     return len(degs) == 1
-
-
-def hypersurface_point_checks(
-    f: Poly, s_max: int = 2, max_points: int = 20, budget: int = SEARCH_BUDGET
-):
-    """Search V(f) over small extensions; check lam(e) = n - ord pointwise.
-
-    Level s is the degree-s extension of the coefficient field
-    (:func:`fsing.invariants.search_levels`).  Its zeros come in grid
-    order, coordinate 0 least significant, without the points of earlier
-    levels (those with every coordinate in one proper subfield), from
-    :func:`fsing.invariants.level_zeros`.  The first max_points zeros get
-    a check record.  Past them only orders above the best one b can raise
-    the maximum, and those sit where f and its Hasse derivatives of order
-    b vanish (the Taylor lemma in :mod:`fsing.invariants`), so the rest of
-    that level and every later level walk V(D^alpha f : |alpha| = b, f)
-    instead, with b the best order when the walk starts: the singular
-    locus at b = 1, linear equations at b = deg f - 1, which the walker
-    reduces to echelon form, and a nonzero constant at b = deg f.  The
-    layer comes first, so a constant in it prunes before f is
-    substituted.  Conjugate points share their order (the orbit lemma in
-    :mod:`fsing.invariants`), so that walk yields one point per Frobenius
-    orbit, and only the points of it that have no record are shifted for
-    their exact order.
-
-    Each check record holds the threshold samples at e = 1 and e = 2, in
-    closed form wherever the theory fixes them.  A checked point where
-    some first partial is nonzero (:func:`fsing.invariants.smooth_at`,
-    which stops at the first one) has order 1 and a linear initial form;
-    a checked point where every partial vanishes is shifted, and its
-    order d and initial form in(f) are read off the shifted polynomial.
-    When in(f) is square-free supported, which a linear form is,
-    in(f)^(q-1) survives the bracket (x_i^q) at every e (the digit lemma
-    in :mod:`fsing.frobenius`), so lam(e) = n - d (the initial-form
-    lemma there) is written down without reducing any power.  Only an
-    initial form that is not square-free supported reaches the Frobenius
-    kernel, through :func:`fsing.frobenius._threshold_samples`, and its
-    record's ok bit holds exactly when in(f)^(q-1) survives the bracket.
-    Returns (max multiplicity seen, list of per-point check records,
-    budget flag).  The threshold identity is exact for every point by
-    the supporting theory, so each record carries an ok bit instead of a
-    tolerance.
-    """
-    n = f.vars.n
-    base = f.field
-    best = 0
-    checks = []
-    levels, budget_exceeded = search_levels(base, n, s_max, budget)
-    for s, big in levels:
-        fe = f.embed(big)
-        checked = set()
-        # until the records are full (and some zero is seen), walk all of V(f)
-        if len(checks) < max_points or not best:
-            smooth = smooth_at(fe)
-            for point in level_zeros([fe], base, s):
-                if len(checks) >= max_points:
-                    best = max(best, 1)  # a zero, if max_points is 0 the first
-                    break
-                checks.append(_point_check(fe, s, point, smooth(point)))
-                checked.add(point)
-                best = max(best, checks[-1]["ord"])
-            else:
-                continue  # every zero of the level got a record
-        layer = list(fe.hasse_layer(best).values())
-        for point in level_zeros(layer + [fe], base, s, orbits=True):
-            if point not in checked:
-                best = max(best, fe.shift(point).order_and_initial()[0])
-    return best, checks, budget_exceeded
-
-
-def _point_check(fe: Poly, s: int, point, smooth: bool) -> dict:
-    """Check record of a zero of fe at level s, smooth there or not: its
-    order, threshold samples at e = 1, 2 and ok bit."""
-    big, n = fe.field, fe.vars.n
-    samples = None  # closed form: lam(e) = n - ord at e = 1, 2
-    if smooth:
-        ordv = 1
-    else:
-        shifted = fe.shift(point)
-        ordv, initial = shifted.order_and_initial()
-        if not is_squarefree_supported(initial):
-            samples = _threshold_samples(shifted, (1, 2), initial)
-    entry = {
-        "point": [big.encode(a) for a in point],
-        "s": s, "ord": ordv, "samples": [], "ok": True,
-    }
-    if samples is None:
-        entry["samples"] = [{"e": e, "num": n - ordv, "den": 1} for e in (1, 2)]
-        return entry
-    for e, sample in zip((1, 2), samples):
-        if sample is None or sample.lam != Fraction(n - ordv):
-            entry["ok"] = False
-        if sample is not None:
-            entry["samples"].append(
-                {"e": e, "num": sample.lam.numerator, "den": sample.lam.denominator}
-            )
-    return entry
 
 
 def modification_build(g: Poly, h: Poly, ell_coeffs, s_max: int = 2,

@@ -138,20 +138,10 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self):
-        if self.is_zero():
-            return self.field.zero
-        return self.terms[(0,) * self.vars.n]
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, i: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
 
     def vars_used(self) -> frozenset:
         used = set()

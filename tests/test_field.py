@@ -73,7 +73,7 @@ def test_f4_frozen_values():
     F4 = build_field(2, 2)
     t = (0, 1)
     assert F4.mul(t, t) == (1, 1)  # t^2 = t + 1
-    assert F4.frobenius(t) == (1, 1)
+    assert F4.pow(t, F4.p) == (1, 1)
     assert F4.mul(t, (1, 1)) == F4.one  # t * (t+1) = t^2 + t = 1
     assert F4.inv(t) == (1, 1)
 
@@ -96,15 +96,12 @@ def test_field_axioms_exhaustive(p, s):
         assert fld.add(a, fld.neg(a)) == fld.zero
         if a != fld.zero:
             assert fld.mul(a, fld.inv(a)) == fld.one
-        # the Frobenius map is a ring endomorphism fixing F_p
-        assert fld.frobenius(a) == fld.pow(a, p)
     for a in elems:
         for b in elems:
             assert fld.add(a, b) == fld.add(b, a)
             assert fld.mul(a, b) == fld.mul(b, a)
-            assert fld.frobenius(fld.add(a, b)) == fld.add(
-                fld.frobenius(a), fld.frobenius(b)
-            )
+            # the p-power map is additive
+            assert fld.pow(fld.add(a, b), p) == fld.add(fld.pow(a, p), fld.pow(b, p))
     for a in elems:
         for b in elems:
             for c in elems:
@@ -128,7 +125,7 @@ def test_frobenius_order_divides_s():
     for a in fld.elements():
         b = a
         for _ in range(fld.s):
-            b = fld.frobenius(b)
+            b = fld.pow(b, fld.p)
         assert b == a
 
 

@@ -105,6 +105,8 @@ def test_parse_unknown_variable():
 def test_parse_error_positions_and_rules():
     with pytest.raises(ParseError):
         parse_poly_source("p 2\nvars x\npoly f: x^70000\n")
+    with pytest.raises(ParseError, match="exponent 80000 out of range"):
+        parse_poly_source("p 2\nvars x\npoly f: x^40000*x^40000\n")
     with pytest.raises(ParseError, match="front of a term"):
         parse_poly_source("p 2\nvars x\npoly f: x*2\n")
     with pytest.raises(ParseError, match="duplicate poly"):
@@ -440,31 +442,49 @@ def test_point_checks_walk_each_level_once():
     assert len(by_level[1]) == 4 and len(by_level[2]) == 12
 
 
-@pytest.mark.parametrize("fld, n", [(F2, 4), (F3, 3), (build_field(2, 2), 3)],
+@pytest.mark.parametrize("fld, n, s_max", [(F2, 4, 3), (F3, 3, 2), (build_field(2, 2), 3, 2)],
                          ids=["F2", "F3", "F4"])
-def test_point_checks_best_is_the_maximum_order(fld, n):
+def test_point_checks_best_is_the_maximum_order(fld, n, s_max):
     # past the checked points only the singular locus is walked; the
     # maximum must still be the largest shift order over every zero of
-    # every searched level, however few points get a record
+    # every searched level, however few points get a record, also when
+    # none does and when the records end on a level boundary
     rng = random.Random(7 * fld.order + n)
     raised = 0
     for _ in range(6):
         f = random_modified(fld, n, rng)
-        expected = 0
-        for s in (1, 2):
+        expected, level_one = 0, 0
+        for s in range(1, s_max + 1):
             big = level_field(fld, s)
             fe = f.embed(big)
             for point in product(list(big.elements()), repeat=n):
                 if fe.evaluate(point) == big.zero:
                     expected = max(expected, fe.shift(point).order_and_initial()[0])
-        for max_points in (1, 5, 20, 10**3):
+                    level_one += s == 1
+        for max_points in (0, 1, 5, 20, 10**3, level_one):
             best, checks, flagged = hypersurface_point_checks(
-                f, s_max=2, max_points=max_points
+                f, s_max=s_max, max_points=max_points
             )
             assert (best, flagged) == (expected, False)
             assert len(checks) <= max_points and all(c["ok"] for c in checks)
-            raised += best > max(c["ord"] for c in checks)
+            if max_points == level_one:
+                assert [c["s"] for c in checks] == [1] * level_one
+            if checks:
+                raised += best > max(c["ord"] for c in checks)
     assert raised  # some maximum came from the walk past the checked points
+
+
+@pytest.mark.parametrize("max_points", [0, 1])
+def test_point_checks_without_a_level_one_zero(max_points):
+    # x^2 + x + 1 has no zero over F_2 and two conjugate smooth zeros over F_4
+    f = mk(F2, VarCtx(("x",)), {(2,): 1, (1,): 1, (0,): 1})
+    assert hypersurface_point_checks(f, s_max=1, max_points=max_points)[0] == 0
+    best, checks, flagged = hypersurface_point_checks(f, s_max=2, max_points=max_points)
+    assert (best, flagged) == (1, False)
+    assert checks == [
+        {"point": [2], "s": 2, "ord": 1, "ok": True,
+         "samples": [{"e": 1, "num": 0, "den": 1}, {"e": 2, "num": 0, "den": 1}]}
+    ][:max_points]
 
 
 # --------------------------------------------------------------------------
