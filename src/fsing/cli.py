@@ -3,7 +3,8 @@
 Subcommands: check (witness + certificate + invariants for each
 polynomial in a file), factor, fpt, matroid (exchange axiom plus the
 basis polynomial pipeline), modify (the linear-form modification), and
-suite (randomized theorem checking).
+suite (randomized theorem checking).  Each subcommand returns its
+report; main writes it and maps its status to the exit code.
 
 Exit codes: 0 every requested test passed, 1 a theorem-level check
 failed (counterexample material), 2 bad input or usage.
@@ -15,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from .errors import (
     CertificateSearchExhausted,
@@ -87,6 +87,28 @@ def _select_polys(parsed, wanted):
     return [(wanted, parsed.polys[wanted])]
 
 
+def _file_report(args, input_info, run):
+    """Report on the polynomials of args.file that --poly selects.
+
+    run(field, varctx, name, f, args) gives each one's (entry, status);
+    the report passes when every entry does.
+    """
+    parsed = parse_poly_file(args.file)
+    entries, status = [], "pass"
+    for name, f in _select_polys(parsed, args.poly):
+        entry, st = run(parsed.field, parsed.varctx, name, f, args)
+        entries.append(entry)
+        if st != "pass":
+            status = st
+    return build_report(
+        _field_info(parsed.field),
+        parsed.varctx.names,
+        {"file": args.file, **input_info},
+        {"polys": entries},
+        status,
+    )
+
+
 def _render_search_point(base_field, rep):
     """Encode a report whose point may live in an extension field."""
     big = base_field if len(rep.point[0]) == base_field.s else build_field(
@@ -97,11 +119,11 @@ def _render_search_point(base_field, rep):
     return out
 
 
-def _crosscheck_rows(Q, e_list):
-    """Rendered threshold samples with their discrepancies, and whether
-    every discrepancy is zero."""
+def _crosscheck_rows(Q, rep, e_list):
+    """Rendered threshold samples with their discrepancies against the
+    origin report rep, and whether every discrepancy is zero."""
     rows, ok = [], True
-    for sample, diff in fpt_crosscheck(Q, e_list):
+    for sample, diff in fpt_crosscheck(Q, rep, e_list):
         row = render_fpt_sample(sample)
         row["discrepancy"] = {"num": diff.numerator, "den": diff.denominator}
         rows.append(row)
@@ -175,136 +197,99 @@ def _check_poly(field, varctx, name, f, args):
         entry["invariants"] = _render_search_point(field, rep)
         entry["note"] = "origin not on the variety; searched for a maximizer"
         point = None
-    if rep.dfpt != rep.mult - Q.t or rep.fpt != Fraction(rep.dim - rep.dfpt):
-        status = "counterexample"
-        entry["invariant_identity"] = "broken"
     if point is not None and all(a == field.zero for a in point):
-        entry["fpt"], ok = _crosscheck_rows(Q, (1, 2))
+        entry["fpt"], ok = _crosscheck_rows(Q, rep, (1, 2))
         if not ok:
             status = "counterexample"
     return entry, status
 
 
-def _cmd_check(args) -> int:
-    parsed = parse_poly_file(args.file)
-    entries = []
-    status = "pass"
-    for name, f in _select_polys(parsed, args.poly):
-        entry, st = _check_poly(parsed.field, parsed.varctx, name, f, args)
-        entries.append(entry)
-        if st != "pass":
-            status = st
-    report = build_report(
-        _field_info(parsed.field),
-        parsed.varctx.names,
-        {"file": args.file, "tests": args.tests},
-        {"polys": entries},
-        status,
-    )
-    _emit(report, args)
-    return EXIT_PASS if status == "pass" else EXIT_COUNTEREXAMPLE
+def _cmd_check(args) -> dict:
+    return _file_report(args, {"tests": args.tests}, _check_poly)
 
 
 # --------------------------------------------------------------------------
 # factor
 # --------------------------------------------------------------------------
 
-def _cmd_factor(args) -> int:
-    parsed = parse_poly_file(args.file)
-    entries = []
-    for name, f in _select_polys(parsed, args.poly):
-        Q = disjoint_factorization(f)
-        entries.append(
-            {
-                "name": name,
-                "poly": str(f),
-                "constant": Q.field.scalar_str(Q.constant),
-                "factors": [str(g) for g in Q.factors],
-                "t": Q.t,
-            }
-        )
-    report = build_report(
-        _field_info(parsed.field),
-        parsed.varctx.names,
-        {"file": args.file},
-        {"polys": entries},
-        "pass",
-    )
-    _emit(report, args)
-    return EXIT_PASS
+def _factor_poly(field, varctx, name, f, args):
+    """The factorization of one polynomial; returns (entry, "pass")."""
+    Q = disjoint_factorization(f)
+    entry = {
+        "name": name,
+        "poly": str(f),
+        "constant": field.scalar_str(Q.constant),
+        "factors": [str(g) for g in Q.factors],
+        "t": Q.t,
+    }
+    return entry, "pass"
+
+
+def _cmd_factor(args) -> dict:
+    return _file_report(args, {}, _factor_poly)
 
 
 # --------------------------------------------------------------------------
 # fpt
 # --------------------------------------------------------------------------
 
-def _cmd_fpt(args) -> int:
-    parsed = parse_poly_file(args.file)
-    field = parsed.field
-    entries = []
-    status = "pass"
-    for name, f in _select_polys(parsed, args.poly):
-        Q = disjoint_factorization(f)
-        entry = {"name": name, "poly": str(f), "t": Q.t}
-        origin = tuple(field.zero for _ in range(parsed.varctx.n))
-        on_variety = all(g.evaluate(origin) == field.zero for g in Q.factors)
-        if not on_variety:
-            raise PointNotOnVarietyError(
-                f"the origin does not lie on the vanishing locus of {name}"
-            )
-        rep = dfpt_at(Q, origin)
-        entry["invariants"] = render_invariants(field, rep)
-        entry["samples"], ok = _crosscheck_rows(Q, range(1, args.e_max + 1))
-        if not ok:
-            status = "counterexample"
-        entries.append(entry)
-    report = build_report(
-        _field_info(field),
-        parsed.varctx.names,
-        {"file": args.file},
-        {"polys": entries},
-        status,
-    )
-    _emit(report, args)
-    return EXIT_PASS if status == "pass" else EXIT_COUNTEREXAMPLE
+def _fpt_poly(field, varctx, name, f, args):
+    """Origin invariants and crosschecked threshold samples up to --e-max
+    of one polynomial; returns (entry, status)."""
+    Q = disjoint_factorization(f)
+    origin = tuple(field.zero for _ in range(varctx.n))
+    if not all(g.evaluate(origin) == field.zero for g in Q.factors):
+        raise PointNotOnVarietyError(
+            f"the origin does not lie on the vanishing locus of {name}"
+        )
+    rep = dfpt_at(Q, origin)
+    samples, ok = _crosscheck_rows(Q, rep, range(1, args.e_max + 1))
+    entry = {
+        "name": name,
+        "poly": str(f),
+        "t": Q.t,
+        "invariants": render_invariants(field, rep),
+        "samples": samples,
+    }
+    return entry, "pass" if ok else "counterexample"
+
+
+def _cmd_fpt(args) -> dict:
+    return _file_report(args, {}, _fpt_poly)
 
 
 # --------------------------------------------------------------------------
 # matroid
 # --------------------------------------------------------------------------
 
-def _cmd_matroid(args) -> int:
+def _cmd_matroid(args) -> dict:
     m = parse_matroid_file(args.file)
     ok, detail = verify_exchange(m)
     field = build_field(args.p)
     if not ok:
-        report = build_report(
+        return build_report(
             _field_info(field),
             [f"x{i + 1}" for i in range(m.n)],
             {"file": args.file, "bases": len(m.bases)},
             {"exchange": False, "detail": detail},
             "counterexample",
         )
-        _emit(report, args)
-        return EXIT_COUNTEREXAMPLE
     f = matroid_basis_polynomial(m, field)
     entry, status = _check_poly(field, f.vars, "basis_polynomial", f, args)
-    report = build_report(
+    return build_report(
         _field_info(field),
         f.vars.names,
         {"file": args.file, "bases": len(m.bases), "exchange": True},
         {"polys": [entry]},
         status,
     )
-    _emit(report, args)
-    return EXIT_PASS if status == "pass" else EXIT_COUNTEREXAMPLE
 
 
 # --------------------------------------------------------------------------
 # modify
 # --------------------------------------------------------------------------
 
-def _cmd_modify(args) -> int:
+def _cmd_modify(args) -> dict:
     parsed = parse_poly_file(args.file)
     field = parsed.field
     if args.g not in parsed.polys or args.h not in parsed.polys:
@@ -333,7 +318,7 @@ def _cmd_modify(args) -> int:
         "point_checks": result.point_checks,
         "budget_exceeded": result.budget_exceeded,
     }
-    report = build_report(
+    return build_report(
         _field_info(field),
         parsed.varctx.names,
         {"file": args.file, "g": args.g, "h": args.h,
@@ -341,15 +326,13 @@ def _cmd_modify(args) -> int:
         results,
         status,
     )
-    _emit(report, args)
-    return EXIT_PASS if status == "pass" else EXIT_COUNTEREXAMPLE
 
 
 # --------------------------------------------------------------------------
 # suite
 # --------------------------------------------------------------------------
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args) -> dict:
     if args.count < 1:
         raise FsingError(f"--count must be at least 1, got {args.count}")
     if not 2 <= args.n <= SUITE_MAX_N:
@@ -380,15 +363,13 @@ def _cmd_suite(args) -> int:
         extra_inputs=extra,
     )
     results, status = theorem_suite(config)
-    report = build_report(
+    return build_report(
         {"p_list": list(config.p_list)},
         varnames,
         {"kind": "randomized suite"},
         results,
         status,
     )
-    _emit(report, args)
-    return EXIT_PASS if status == "pass" else EXIT_COUNTEREXAMPLE
 
 
 # --------------------------------------------------------------------------
@@ -498,7 +479,8 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_INPUT
     try:
-        return args.func(args)
+        report = args.func(args)
+        _emit(report, args)
     except TheoremContradictionError as exc:
         payload = {"error": str(exc), "dump": exc.dump}
         sys.stderr.write(json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n")
@@ -507,6 +489,7 @@ def main(argv=None) -> int:
         prefix = "parse error" if isinstance(exc, ParseError) else "error"
         sys.stderr.write(f"{prefix}: {exc}\n")
         return EXIT_INPUT
+    return EXIT_PASS if report["status"] == "pass" else EXIT_COUNTEREXAMPLE
 
 
 if __name__ == "__main__":

@@ -79,7 +79,6 @@ from .poly import (
     canon_key,
     frobenius_power_mod_bracket,
     frobenius_q,
-    multiply_monomial_truncated,
 )
 from .structure import CIdeal, is_squarefree_supported
 
@@ -147,12 +146,6 @@ def verify_split_witness(Q: CIdeal, w: SplitWitness) -> bool:
     return w.witness in reduced.terms
 
 
-def _shifted_power(f: Poly, e: int, mult) -> Poly:
-    """x^mult * f^(p^e-1) modulo the bracket ideal (x_i^(p^e) : all i)."""
-    reduced = frobenius_power_mod_bracket(f, e)
-    return multiply_monomial_truncated(reduced, mult, f.field.p**e)
-
-
 # --------------------------------------------------------------------------
 # regularity certificates
 # --------------------------------------------------------------------------
@@ -179,10 +172,18 @@ def _stage_witness(f: Poly, var: int):
     """First surviving monomial of x_var * f^(p-1) in canonical order, or None.
 
     By the stage lemma in the module docstring this decides the stage at
-    every e and localization: None means x_var divides f.
+    every e and localization: None means x_var divides f.  x_var * w
+    survives the bracket (x_i^p) exactly when w_var <= p - 2, and
+    canonical order is graded and compatible with adding e_var, so the
+    first survivor is e_var plus the least such w in supp of the reduced
+    f^(p-1).
     """
-    shifted = _shifted_power(f, 1, tuple(1 if i == var else 0 for i in range(f.vars.n)))
-    return None if shifted.is_zero() else shifted.least_monomial()
+    top = f.field.p - 2
+    survivors = [w for w in frobenius_power_mod_bracket(f, 1).terms if w[var] <= top]
+    if not survivors:
+        return None
+    w = min(survivors, key=canon_key)
+    return w[:var] + (w[var] + 1,) + w[var + 1:]
 
 
 def build_regularity_certificate(Q: CIdeal) -> RegCertificate:
@@ -276,10 +277,13 @@ def _verify_explain(Q: CIdeal, cert: RegCertificate):
             v > q - 1 for i, v in enumerate(stage.witness) if i not in inverted
         ):
             return False, f"stage {k}: witness has an un-inverted exponent >= p^e"
-        # the plain bracket equals the localized one here (stage lemma)
+        # the plain bracket equals the localized one here (stage lemma), and
+        # the witness survives x_v * f^(q-1) iff witness - x_v is a monomial
+        # of the reduced f^(q-1): those have every exponent below q, and x_v,
+        # not yet inverted, passed the exponent test above
         f = _active_product(Q.factors, active)
-        shifted = _shifted_power(f, stage.e, tuple(stage.multiplier))
-        if tuple(stage.witness) not in shifted.terms:
+        rest = tuple(w - m for w, m in zip(stage.witness, expected_mult))
+        if rest not in frobenius_power_mod_bracket(f, stage.e).terms:
             return False, f"stage {k}: witness does not survive the reduction"
         inverted.add(stage.inverted_var)
     discharge()

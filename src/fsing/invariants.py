@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 
-from .errors import PointNotOnVarietyError, ZeroInputError
+from .errors import PointNotOnVarietyError
 from .field import MAX_DEGREE, level_field
 from .frobenius import _threshold_samples
 from .poly import Poly
@@ -541,28 +541,26 @@ def _point_check(fe: Poly, s: int, point, smooth: bool) -> dict:
     return entry
 
 
-def fpt_crosscheck(Q: CIdeal, e_list):
+def fpt_crosscheck(Q: CIdeal, rep: InvariantReport, e_list):
     """Compare oracle threshold samples against the closed form at the origin.
 
-    Returns (sample, discrepancy) pairs with exact rational
-    discrepancies lam(e) - (n - mult); the closed form predicts zero.
+    rep is Q's :func:`dfpt_at` report at the origin; a report at any
+    other point raises ValueError.  Returns (sample, discrepancy) pairs
+    with exact rational discrepancies lam(e) - (n - rep.mult); the closed
+    form predicts zero.
 
     Q is square-free supported, so every sample comes from one reduced
-    f^(p-1) of f = Q.product() (see :func:`fsing.frobenius.fpt_sample_poly`):
-    the e = 1 sample is measured, and the e >= 2 samples are derived from
-    it by the digit lemma, which makes them a consistency check rather
-    than independent evidence.  The independent check of the e >= 2
-    powers is the full-expansion oracle ``naive_kernel`` in the tests.
+    f^(p-1) of f = Q.product() (see :func:`fsing.frobenius.fpt_sample_poly`),
+    which is never zero: the e = 1 sample is measured, and the e >= 2
+    samples are derived from it by the digit lemma, which makes them a
+    consistency check rather than independent evidence.  The independent
+    check of the e >= 2 powers is the full-expansion oracle
+    ``naive_kernel`` in the tests.
     """
-    origin = tuple(Q.field.zero for _ in range(Q.vars.n))
-    report = dfpt_at(Q, origin)
-    expected = Fraction(Q.vars.n - report.mult)
-    e_list = tuple(e_list)
-    out = []
-    for e, sample in zip(e_list, _threshold_samples(Q.product(), e_list)):
-        if sample is None:
-            raise ZeroInputError(
-                f"reduced power vanished at e={e}; no threshold sample"
-            )
-        out.append((sample, sample.lam - expected))
-    return out
+    if any(a != Q.field.zero for a in rep.point):
+        raise ValueError("the crosscheck needs the invariant report at the origin")
+    expected = Fraction(Q.vars.n - rep.mult)
+    return [
+        (sample, sample.lam - expected)
+        for sample in _threshold_samples(Q.product(), e_list)
+    ]

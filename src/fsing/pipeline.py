@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
@@ -151,14 +150,7 @@ def check_sqfree_sample(f: Poly, t_planted=None) -> dict:
     if on_variety:
         rep = dfpt_at(Q, origin)
         rec["dfpt"] = rep.dfpt
-        if rep.dfpt != rep.mult - Q.t or rep.fpt != Fraction(rep.dim - rep.dfpt):
-            return fail("invariant identities broken at the origin")
-        if rep.dfpt < 0:
-            return fail("negative defect")
-        try:
-            cc = fpt_crosscheck(Q, (1, 2))
-        except FsingError as exc:
-            return fail(f"threshold oracle failure: {exc}")
+        cc = fpt_crosscheck(Q, rep, (1, 2))
         rec["lambda"] = [
             {"e": s.e, "num": s.lam.numerator, "den": s.lam.denominator} for s, _ in cc
         ]

@@ -581,14 +581,3 @@ def frobenius_power_mod_bracket(f: Poly, e: int) -> Poly:
             twisted[ne] = fld.pow(c, scale)
         result = _mul_truncated(fld, result, twisted, q)
     return Poly(fld, f.vars, result)
-
-
-def multiply_monomial_truncated(f: Poly, exps, q) -> Poly:
-    """f times the monomial x^exps, discarding terms hitting the bracket."""
-    out = {}
-    for e, c in f.terms.items():
-        ne = tuple(map(operator.add, e, exps))
-        if any(v >= q for v in ne):
-            continue
-        out[ne] = c
-    return Poly(f.field, f.vars, out)

@@ -76,7 +76,7 @@ def render_fpt_sample(sample):
     }
 
 
-STATUSES = ("pass", "counterexample", "error")
+STATUSES = ("pass", "counterexample")
 
 
 def build_report(field_info, varnames, input_info, results, status):

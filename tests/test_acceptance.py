@@ -161,7 +161,7 @@ def test_acceptance_2_invariant_identities_on_curated_inputs():
                 ok = False
             if rep.fpt != Fraction(rep.dim - rep.dfpt):
                 ok = False
-            for sample, diff in fpt_crosscheck(Q, (1, 2)):
+            for sample, diff in fpt_crosscheck(Q, rep, (1, 2)):
                 if diff != 0:
                     ok = False
             count += 1

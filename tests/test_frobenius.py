@@ -21,12 +21,12 @@ from fsing import (
     build_field,
     build_regularity_certificate,
     canon_key,
+    dfpt_at,
     fpt_crosscheck,
     fpt_sample_poly,
     frobenius_power_mod_bracket,
     fsplit_witness,
     modification_build,
-    multiply_monomial_truncated,
     parse_point,
     parse_poly_file,
     squarefree_offender,
@@ -213,6 +213,13 @@ def test_corrupted_certificates_fail():
     )
     ok, reason = _verify_explain(Q, big_exponent)
     assert not ok and "exponent" in reason
+
+    # z*w^2 is w times zw, a monomial of the reduced power, but w^2 hits
+    # the bracket (x_i^2)
+    forged = RegCertificate(
+        [RegStage(3, 1, (0, 0, 0, 1), (0, 0, 1, 2))], list(good.base)
+    )
+    assert not verify_regularity_certificate(Q, forged)
 
     missing_base = RegCertificate(list(good.stages), [])
     ok, reason = _verify_explain(Q, missing_base)
@@ -482,7 +489,8 @@ def test_point_check_records_match_full_expansion(name):
 
 def test_crosscheck_reduces_only_the_first_power(monkeypatch):
     calls = _recording_kernel(monkeypatch)
-    out = fpt_crosscheck(two_quadrics(), (1, 2, 3))
+    Q = two_quadrics()
+    out = fpt_crosscheck(Q, dfpt_at(Q, (F2.zero,) * Q.vars.n), (1, 2, 3))
     assert [e for _, e in calls] == [1]
     assert [sample.e for sample, _ in out] == [1, 2, 3]
     assert all(diff == 0 for _, diff in out)
@@ -552,9 +560,12 @@ def test_stage_lemma_against_localized_oracle(p, s, n_max, cases):
             })
             divides = all(w[v] for w in f.terms)
             assert local.is_zero() == divides
-            mult = tuple(1 if i == v else 0 for i in range(n))
-            assert local == multiply_monomial_truncated(
-                frobenius_power_mod_bracket(f, e), mult, q
-            )
+            plain = frobenius_power_mod_bracket(f, e) * x_v
+            assert local == Poly(fld, f.vars, {
+                w: c for w, c in plain.terms.items() if max(w) < q
+            })
+            if e == 1:
+                first = None if local.is_zero() else local.least_monomial()
+                assert fsing.frobenius._stage_witness(f, v) == first
             outcomes.add(divides)
     assert outcomes == {True, False}

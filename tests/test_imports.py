@@ -1,4 +1,5 @@
-"""Every name a package module imports or defines is used in the package.
+"""Every name a package module imports or defines is used in the package,
+and the package exports exactly what its ``__init__.py`` imports.
 
 Two stdlib-only lints over the ``src/fsing/*.py`` modules except
 ``__init__.py`` (whose imports are its exports):
@@ -58,6 +59,14 @@ def _attribute_reads(tree):
         node.attr for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     )
+
+
+def test_all_lists_exactly_the_imports():
+    # __all__ and the imports of __init__.py are two lists of one export set
+    import fsing
+
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert sorted(fsing.__all__) == sorted([*_imported_names(tree), "__version__"])
 
 
 def test_modules_found():

@@ -144,14 +144,21 @@ def test_global_invariants_non_homogeneous_agrees_with_exhaustive():
 
 def test_fpt_crosscheck_zero_discrepancy():
     Q = CIdeal.from_factors([quadric()])
-    for sample, diff in fpt_crosscheck(Q, (1, 2, 3)):
+    for sample, diff in fpt_crosscheck(Q, dfpt_at(Q, (F2.zero,) * 4), (1, 2, 3)):
         assert diff == 0
         assert sample.lam == Fraction(2)
     ctx = VarCtx(("x", "y", "z"))
     Qs = CIdeal.from_factors([mk(F3, ctx, {(1, 0, 0): 1, (0, 1, 1): 1})])
-    for sample, diff in fpt_crosscheck(Qs, (1, 2)):
+    for sample, diff in fpt_crosscheck(Qs, dfpt_at(Qs, (F3.zero,) * 3), (1, 2)):
         assert diff == 0
         assert sample.lam == Fraction(2)
+
+
+def test_fpt_crosscheck_takes_the_origin_report():
+    Q = CIdeal.from_factors([quadric()])
+    away = dfpt_at(Q, (F2.one, F2.zero, F2.one, F2.zero))
+    with pytest.raises(ValueError, match="origin"):
+        fpt_crosscheck(Q, away, (1,))
 
 
 def test_fpt_crosscheck_char5_product():
@@ -160,7 +167,7 @@ def test_fpt_crosscheck_char5_product():
     Q = CIdeal.from_factors(
         [mk(F5, ctx, {(1, 0, 0): 1}), mk(F5, ctx, {(0, 1, 1): 1, (0, 1, 0): 1, (0, 0, 1): 1})]
     )
-    for sample, diff in fpt_crosscheck(Q, (1,)):
+    for sample, diff in fpt_crosscheck(Q, dfpt_at(Q, (F5.zero,) * 3), (1,)):
         assert diff == 0
 
 

@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 
 import fsing.cli
+import fsing.invariants
 import fsing.pipeline
 from conftest import mk, random_modified
 from fsing import (
@@ -321,11 +322,14 @@ def test_suite_reports_are_reproducible():
 
 def test_build_report_rejects_an_unknown_status():
     # an exit code is read off the status, so a bad one must fail loudly,
-    # also under python -O, which strips asserts
+    # also under python -O, which strips asserts; main maps every status
+    # but pass to exit 1, which means a counterexample and nothing else,
+    # so there is no error status
     report = build_report({"p": 2}, ["x"], {}, {}, "pass")
     assert report["status"] == "pass"
-    with pytest.raises(ValueError, match="status"):
-        build_report({"p": 2}, ["x"], {}, {}, "passed")
+    for status in ("passed", "error"):
+        with pytest.raises(ValueError, match="status"):
+            build_report({"p": 2}, ["x"], {}, {}, status)
 
 
 def test_suite_extra_inputs_and_skips():
@@ -440,6 +444,27 @@ def test_point_checks_walk_each_level_once():
     ]
     assert by_level[3] == {pt for pt in on_f8 if max(pt) > 1}
     assert len(by_level[1]) == 4 and len(by_level[2]) == 12
+
+
+def test_point_checks_hand_maximize_the_levels_from_the_stop_level(monkeypatch):
+    # f has degree 3 and order at most 2, so maximize walks a layer at every
+    # level it is handed; its 12 zeros over F_2 all get records, and the
+    # 13th record stops the walk in level 2, so level 1 is walked once, by
+    # the record walk, and never with orbits by maximize
+    f = mk(F2, VarCtx(("x", "y", "z", "w")),
+           {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1, (2, 1, 0, 0): 1, (1, 1, 0, 1): 1})
+    real, walks = fsing.invariants.level_zeros, []
+
+    def counted(polys, base, s, orbits=False):
+        walks.append((s, orbits))
+        return real(polys, base, s, orbits)
+
+    monkeypatch.setattr(fsing.invariants, "level_zeros", counted)
+    best, checks, flagged = hypersurface_point_checks(f, s_max=2, max_points=13)
+    assert (best, flagged) == (2, False)
+    assert [c["s"] for c in checks] == [1] * 12 + [2]
+    assert [w for w in walks if w[0] == 1] == [(1, False)]
+    assert (2, True) in walks
 
 
 @pytest.mark.parametrize("fld, n, s_max", [(F2, 4, 3), (F3, 3, 2), (build_field(2, 2), 3, 2)],
@@ -574,7 +599,8 @@ def test_cli_crosscheck_discrepancy_is_a_counterexample(poly_file, capsys, monke
     # check and fpt render every crosscheck row and report any nonzero one
     real = fsing.cli.fpt_crosscheck
     monkeypatch.setattr(
-        fsing.cli, "fpt_crosscheck", lambda Q, e_list: [(s, d + 1) for s, d in real(Q, e_list)]
+        fsing.cli, "fpt_crosscheck",
+        lambda Q, rep, e_list: [(s, d + 1) for s, d in real(Q, rep, e_list)],
     )
     for argv, key in ((["check", poly_file, "--poly", "f"], "fpt"),
                       (["fpt", poly_file, "--poly", "f"], "samples")):
@@ -611,6 +637,29 @@ def test_cli_matroid(tmp_path, capsys):
     assert main(["matroid", str(broken)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "counterexample"
+    assert main(["matroid", str(broken), "--text"]) == 1
+    assert "status: counterexample" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "{poly}"], ["modify", "{poly}", "--g", "f", "--h", "h"],
+     ["matroid", "{broken}"]],
+    ids=["check", "modify", "matroid-exchange-fails"],
+)
+def test_cli_out_into_a_missing_directory_exits_2(tmp_path, capsys, argv):
+    # main writes every report, the failing exchange axiom's too, inside the
+    # handler that turns an unwritable --out into exit 2
+    paths = {"poly": tmp_path / "in.poly", "broken": tmp_path / "broken.matroid"}
+    paths["poly"].write_text("p 2\nvars x y z w\npoly f: x*y + z*w\npoly h: x*y*w + x*z*w\n")
+    paths["broken"].write_text("matroid\nn 4\nbasis 1 2\nbasis 3 4\n")
+    out = tmp_path / "missing" / "report.json"
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize(

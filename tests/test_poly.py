@@ -11,7 +11,6 @@ from fsing import (
     build_field,
     exact_divide,
     frobenius_power_mod_bracket,
-    multiply_monomial_truncated,
 )
 from fsing.errors import (
     ContextMismatchError,
@@ -264,12 +263,6 @@ def test_kernel_frobenius_twist_on_extension_coefficients():
     F4 = build_field(2, 2)
     f = Poly(F4, XY, {(1, 0): (0, 1), (0, 1): (1, 0)})
     assert frobenius_power_mod_bracket(f, 2) == naive_kernel(f, 2)
-
-
-def test_multiply_monomial_truncated():
-    f = mk(F2, XYZW, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1})
-    out = multiply_monomial_truncated(f, (1, 0, 0, 0), 2)
-    assert out == mk(F2, XYZW, {(1, 0, 1, 1): 1})  # x * xy dies, x * zw lives
 
 
 def test_embed():
