@@ -238,11 +238,12 @@ def _fpt_poly(field, varctx, name, f, args):
     of one polynomial; returns (entry, status)."""
     Q = disjoint_factorization(f)
     origin = tuple(field.zero for _ in range(varctx.n))
-    if not all(g.evaluate(origin) == field.zero for g in Q.factors):
+    try:
+        rep = dfpt_at(Q, origin)
+    except PointNotOnVarietyError:
         raise PointNotOnVarietyError(
             f"the origin does not lie on the vanishing locus of {name}"
-        )
-    rep = dfpt_at(Q, origin)
+        ) from None
     samples, ok = _crosscheck_rows(Q, rep, range(1, args.e_max + 1))
     entry = {
         "name": name,

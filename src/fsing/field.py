@@ -119,13 +119,11 @@ def build_field(p: int, s: int = 1) -> "Field":
     return Field(p, s)
 
 
-def level_field(base: "Field", s: int):
+def level_field(base: "Field", s: int) -> "Field":
     """Field of level s in a point search over base = F_{p^k}: its degree-s
-    extension F_{p^(k*s)}, or None past the supported degree MAX_DEGREE = 4."""
-    degree = base.s * s
-    if degree > MAX_DEGREE:
-        return None
-    return build_field(base.p, degree)
+    extension F_{p^(k*s)}; DegreeRangeError past the supported degree
+    MAX_DEGREE = 4."""
+    return build_field(base.p, base.s * s)
 
 
 @functools.lru_cache(maxsize=None)

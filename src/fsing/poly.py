@@ -509,29 +509,6 @@ def exact_divide(f: Poly, g: Poly):
 # Frobenius kernel
 # --------------------------------------------------------------------------
 
-def _mul_truncated(fld, a, b, q):
-    mul, add, zero = fld.mul, fld.add, fld.zero
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(operator.add, ea, eb))
-            if any(v >= q for v in e):
-                continue
-            c = mul(ca, cb)
-            cur = out.get(e)
-            if cur is None:
-                out[e] = c
-            else:
-                merged = add(cur, c)
-                if merged == zero:
-                    del out[e]
-                else:
-                    out[e] = merged
-    return out
-
-
 def frobenius_q(fld: Field, e) -> int:
     """q = p^e for a Frobenius exponent e, which must be a positive integer."""
     if not isinstance(e, int) or e < 1:
@@ -553,31 +530,30 @@ def frobenius_power_mod_bracket(f: Poly, e: int) -> Poly:
 
     Computed through the factorization
     f^(p^e-1) = prod_{i<e} (f^(p-1)) with exponents scaled by p^i and
-    coefficients pushed through i Frobenius twists.  Monomials with an
-    exponent reaching p^e are discarded during every intermediate
-    product; exponents only grow under multiplication, so this loses
-    nothing from the final reduced result.
+    coefficients pushed through i Frobenius twists.  Each product is
+    reduced modulo the bracket before the next one, and so are f and each
+    twisted factor; exponents only grow under multiplication, so a dropped
+    monomial never feeds a surviving one and nothing is lost from the
+    final reduced result.
 
     For square-free supported f no term reaches the bracket, localized or
-    not (the digit lemma in :mod:`fsing.frobenius`); the truncation
+    not (the digit lemma in :mod:`fsing.frobenius`); the reduction
     matters only for input that is not square-free supported.
     """
     if f.is_zero():
         raise ZeroInputError("Frobenius power of the zero polynomial")
     fld = f.field
     q = bracket_exponent(fld, e)
-    base = {exps: c for exps, c in f.terms.items() if all(v < q for v in exps)}
-    acc = {(0,) * f.vars.n: fld.one}
-    for _ in range(fld.p - 1):
-        acc = _mul_truncated(fld, acc, base, q)
-    result = acc
+
+    def bracket(g):
+        return Poly(fld, g.vars, {x: c for x, c in g.terms.items() if all(v < q for v in x)})
+
+    power = base = bracket(f)
+    for _ in range(fld.p - 2):
+        power = bracket(power * base)
+    result = power
     for i in range(1, e):
         scale = fld.p**i
-        twisted = {}
-        for exps, c in acc.items():
-            ne = tuple(v * scale for v in exps)
-            if any(v >= q for v in ne):
-                continue
-            twisted[ne] = fld.pow(c, scale)
-        result = _mul_truncated(fld, result, twisted, q)
-    return Poly(fld, f.vars, result)
+        twisted = {tuple(v * scale for v in x): fld.pow(c, scale) for x, c in power.terms.items()}
+        result = bracket(result * bracket(Poly(fld, f.vars, twisted)))
+    return result

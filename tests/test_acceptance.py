@@ -145,8 +145,10 @@ def k4_tree_polynomial(fld):
 
 
 def test_acceptance_2_invariant_identities_on_curated_inputs():
-    """dfpt = mult - t at the origin and exact threshold crosschecks for
-    e in {1,2} on at least ten curated inputs over F_2 and F_3."""
+    """At the origin mult is the least degree of a term of f, dfpt =
+    mult - t with t counted by the bipartition oracle, and fpt = dim - dfpt;
+    exact threshold crosschecks for e in {1,2}; on at least ten curated
+    inputs over F_2 and F_3."""
     started = time.monotonic()
     count = 0
     ok = True
@@ -157,9 +159,12 @@ def test_acceptance_2_invariant_identities_on_curated_inputs():
             Q = disjoint_factorization(f)
             origin = (fld.zero,) * Q.vars.n
             rep = dfpt_at(Q, origin)
-            if rep.dfpt != rep.mult - Q.t:
+            mult = min(sum(exps) for exps in f.terms)
+            t = len(oracle_factorization(f)[1])
+            dim = f.vars.n - t
+            if (rep.mult, rep.dim, rep.dfpt) != (mult, dim, mult - t):
                 ok = False
-            if rep.fpt != Fraction(rep.dim - rep.dfpt):
+            if rep.fpt != Fraction(dim - (mult - t)):
                 ok = False
             for sample, diff in fpt_crosscheck(Q, rep, (1, 2)):
                 if diff != 0:

@@ -256,6 +256,32 @@ def test_kernel_matches_naive_oracle():
                 assert frobenius_power_mod_bracket(f, e) == naive_kernel(f, e)
                 cases += 1
     assert cases == 160
+    # p = 5, e = 2: f^4 holds x^8, so the twisted copy holds x^40 past q = 25
+    f = mk(F5, XY, {(2, 0): 1, (1, 1): 1, (0, 1): 1})
+    assert max(x for exps in (f**4).terms for x in exps) * 5 >= 25
+    assert frobenius_power_mod_bracket(f, 2) == naive_kernel(f, 2)
+
+
+def test_kernel_reduces_every_product(monkeypatch):
+    # x^4 + y^4 + x*y^2 + x^2*y is not square-free supported: f^4 reaches
+    # x^16 past q = 13 at e = 1, and f^12 scaled by 13 reaches past 169 at
+    # e = 2, so both operands of every product are reduced beforehand
+    F13 = build_field(13)
+    f = mk(F13, XY, {(4, 0): 1, (0, 4): 1, (1, 2): 1, (2, 1): 1})
+    mul = Poly.__mul__
+    for e in (1, 2):
+        q = 13**e
+        operands = []
+
+        def recording(a, b):
+            operands.extend((a, b))
+            return mul(a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(Poly, "__mul__", recording)
+            frobenius_power_mod_bracket(f, e)
+        assert len(operands) == 2 * (11 + e - 1)  # p - 2 powers, e - 1 twists
+        assert all(v < q for g in operands for exps in g.terms for v in exps)
 
 
 def test_kernel_frobenius_twist_on_extension_coefficients():

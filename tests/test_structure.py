@@ -16,12 +16,14 @@ from fsing import (
     squarefree_offender,
 )
 from fsing.errors import (
+    DegreeRangeError,
     FsingError,
     NotSquareFreeSupportedError,
     TheoremContradictionError,
     ZeroOrConstantError,
 )
 from fsing.field import level_field
+from fsing.invariants import level_zeros
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -259,4 +261,7 @@ def test_extension_stability_over_extension_field():
     for poly in (f, coupled, prod):
         _assert_stable_over(poly, 2)
     assert level_field(F4, 2) == build_field(2, 4)
-    assert level_field(F4, 3) is None  # F_64 is past the supported degree 4
+    with pytest.raises(DegreeRangeError):  # F_64 is past the supported degree 4
+        level_field(F4, 3)
+    with pytest.raises(DegreeRangeError):
+        list(level_zeros([f.embed(build_field(2, 4))], F4, 3))
