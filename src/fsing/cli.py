@@ -31,6 +31,7 @@ from .frobenius import (
     build_regularity_certificate,
     fsplit_witness,
     verify_regularity_certificate,
+    verify_split_witness,
 )
 from .invariants import dfpt_at, fpt_crosscheck, global_invariants
 from .io import (
@@ -159,8 +160,9 @@ def _check_poly(field, varctx, name, f, args):
     if tests in ("all", "fsplit"):
         product = Q.product()
         w = fsplit_witness(product)
-        if w is None:
-            # square-free supported input always splits
+        if w is None or not verify_split_witness(Q, w):
+            # square-free supported input always splits, and its witness
+            # survives the reduced power
             raise TheoremContradictionError(
                 "square-free supported input failed the splitting test",
                 dump={

@@ -1,66 +1,80 @@
 """Frobenius splitting tests, regularity certificates, threshold samples.
 
-Splitting tests and certificates reduce to one kernel: f^(p^e - 1)
-modulo a bracket ideal, computed by
-:func:`fsing.poly.frobenius_power_mod_bracket`.  For an ideal generated
-by variable-disjoint factors the colon ideal of the bracket power is
-generated by f^(p^e-1) together with the bracket itself (Fedder's
-criterion), so splitting at the origin is the survival of a single
-reduced power.
+Everything here rests on f^(q-1), q = p^e, modulo the bracket ideal
+(x_i^q : all i), which :func:`fsing.poly.frobenius_power_mod_bracket`
+(the kernel) computes.  For an ideal generated by variable-disjoint
+factors the colon ideal of the bracket power is generated by f^(q-1)
+together with the bracket itself (Fedder's criterion), so splitting at
+the origin is the survival of a single reduced power.
 
-Regularity certificates need that kernel only at e = 1 and without
-localization (the stage lemma).  Let f be square-free supported,
-q = p^e, S a set of inverted variables and v not in S.  (a) Every
-exponent of f^(q-1) is at most q-1 (the digit lemma below), so the
-bracket, localized at S or not, discards nothing.  (b) The x_v-free
-part of f^(q-1) is (f|x_v=0)^(q-1), nonzero exactly when x_v does not
-divide f; when f = x_v*A every term carries x_v^(q-1) and dies after
-multiplying by x_v.  So x_v*f^(q-1) has a surviving monomial iff x_v
-does not divide f, whatever e and S are, and a stage that fails at
-e = 1 fails at every e.  (c) The preferred variable of an offending
-irreducible factor never divides f: if it did, the factor would be
-that variable, whose monomial has un-inverted degree 1.
+Splitting witnesses and threshold samples are read off one monomial:
+the least survivor, the least monomial in canonical order of f^(q-1)
+outside (x_i^q).  The witness is the least survivor at e = 1.  The
+sample's b is the largest total degree of a monomial multiplier keeping
+the reduced power outside the bracket; a surviving w leaves room
+n(q-1) - |w|, and canonical order is graded, so b = n(q-1) - |w| for the
+least survivor w.  Let d be the order of f at the origin and in(f) its
+part of degree d.  Every monomial of f^(q-1) has degree at least d(q-1),
+and the part of degree d(q-1) is in(f)^(q-1), nonzero because the
+polynomial ring is a domain.  Reduction modulo the monomial ideal
+(x_i^q) keeps or drops each monomial on its own.  So
+:func:`_least_survivors` decides by four rules, in turn:
 
-Threshold samples of square-free supported input need that kernel only
-at e = 1 (the digit lemma).  Write q = p^e.  In characteristic p,
-f^(q-1) = prod_{i<e} (f^(p-1))^(p^i), and the i-th factor is f^(p-1)
-with exponents scaled by p^i.  When f is square-free supported every
-exponent of f^(p-1) is at most p-1, so each product monomial
-sum_i p^i a_i (a_i in supp f^(p-1)) is a base-p expansion: distinct
-digit tuples give distinct monomials, so nothing cancels, and no
-exponent reaches q, so nothing hits the bracket.  Hence supp f^(q-1) is
-the digit product of e copies of supp f^(p-1), and its least total
-degree is (q-1)/(p-1) times the least total degree on supp f^(p-1).
+1. The degree bound.  A survivor has every exponent below q, so its
+   degree is at most n(q-1); when d > n nothing survives.
+2. The closed form.  When in(f) is square-free supported, let m be its
+   least monomial and c_m the coefficient.  The coefficient of
+   x^((q-1)m) in in(f)^(q-1) is c_m^(q-1), which is nonzero, because
+   q-1 vectors with 0/1 entries that add up to (q-1)m must each equal m.
+   Every exponent of in(f)^(q-1) is at most q-1, so nothing in it meets
+   the bracket, and canonical order is graded and compatible with
+   multiplication, so (q-1)m is the least monomial of in(f)^(q-1), the
+   part of least degree, and hence the least survivor of f^(q-1).
+   Square-free supported f always takes this rule, since its order is
+   at most n.
+3. The initial form.  Otherwise in(f)^(q-1) is reduced; a survivor of
+   it has the least degree d(q-1) among all monomials of f^(q-1), so its
+   least survivor is the least survivor of f^(q-1).
+4. The whole power.  Only when in(f)^(q-1) dies is f^(q-1) itself
+   reduced, and then b < (n - d)(q - 1).
 
-Threshold samples of other input, such as a shifted polynomial in the
-modification point checks, are read off the initial form (the
-initial-form lemma).  Let d be the order of f at the origin and in(f)
-its part of degree d.  Every monomial of f^(q-1) has degree at least
-d(q-1), and the part of degree d(q-1) is in(f)^(q-1), nonzero because
-the polynomial ring is a domain.  Reduction modulo the monomial ideal
-(x_i^q) keeps or drops each monomial on its own, so it respects total
-degree: when in(f)^(q-1) survives the bracket, its survivors are the
-survivors of least degree d(q-1), and b = (n - d)(q - 1), that is
-lambda(e) = n - d.  Conversely lambda(e) = n - d forces a survivor of
-degree d(q-1), a term of in(f)^(q-1).  Only when in(f)^(q-1) dies is
-f^(q-1) itself reduced, and then lambda(e) < n - d.
-
-When in(f) is square-free supported, in(f)^(q-1) always survives (the
-digit lemma), so b = (n - d)(q - 1), and it is read off in(f)^(p-1) at
-e = 1 like any square-free supported input: in(f) is homogeneous of
-degree d, so the least degree on supp in(f)^(p-1) is (p-1)d.  This is
-the same sample as the digit path gives for a square-free supported f
-of order d, whose least degree on supp f^(p-1) is also (p-1)d.  So
-lambda(e) = n - d at every e, and the modify point checks
-(:func:`fsing.invariants.hypersurface_point_checks`) write their records
-in closed form without reducing any power.  At a smooth point a of a
+Rules 1 and 2 build no power, so there p^e may exceed the kernel's
+16-bit exponent range.  A witness from rule 2 is a formula, not a
+measurement: the callers that hold the ideal replay it with
+:func:`verify_split_witness`, which reduces the power, so the split is
+still checked by an independent computation.  At a smooth point a of a
 hypersurface, in(f(x + a)) is the linear form sum_i d_i f(a) * x_i (the
 Taylor lemma in :mod:`fsing.invariants`), which is square-free
-supported, so lambda(e) = n - 1 as soon as some first partial is
-nonzero at a, and f is not shifted.  At a singular point, f is shifted
-and lambda(e) = n - d whenever in(f(x + a)) is square-free supported.
-Only a checked point whose initial form is not square-free supported
-reaches the kernel, through :func:`_threshold_samples`.
+supported, so the modify point checks
+(:func:`fsing.invariants.hypersurface_point_checks`) write
+lambda(e) = n - 1 without shifting f; a singular point's shifted
+polynomial goes through the rules with its initial form.
+
+Regularity certificates need the kernel only at e = 1 and without
+localization (the stage lemma).  Let f be square-free supported,
+q = p^e, S a set of inverted variables and v not in S.  (a) Every
+exponent of f^(q-1) is at most q-1, as in rule 2, so the bracket,
+localized at S or not, discards nothing.  (b) The x_v-free part of
+f^(q-1) is (f|x_v=0)^(q-1), nonzero exactly when x_v does not divide f;
+when f = x_v*A every term carries x_v^(q-1) and dies after multiplying
+by x_v.  So x_v*f^(q-1) has a surviving monomial iff x_v does not
+divide f, whatever e and S are, and a stage that fails at e = 1 fails
+at every e.  (c) The preferred variable of an offending irreducible
+factor never divides f: if it did, the factor would be that variable,
+whose monomial has un-inverted degree 1.
+
+The digit lemma serves only the threshold crosscheck
+(:func:`fsing.invariants.fpt_crosscheck`), which measures what rule 2
+states.  In characteristic p, f^(q-1) = prod_{i<e} (f^(p-1))^(p^i), and
+the i-th factor is f^(p-1) with exponents scaled by p^i.  When f is
+square-free supported every exponent of f^(p-1) is at most p-1, so each
+product monomial sum_i p^i a_i (a_i in supp f^(p-1)) is a base-p
+expansion: distinct digit tuples give distinct monomials, nothing
+cancels, and no exponent reaches q.  Hence supp f^(q-1) is the digit
+product of e copies of supp f^(p-1), and its least total degree is
+(q-1)/(p-1) times the least total degree on supp f^(p-1).
+:func:`_digit_samples` reads every sample off one reduced f^(p-1) that
+way, and rule 2 predicts its least degree to be (p-1)d.
 """
 
 from __future__ import annotations
@@ -75,7 +89,6 @@ from .errors import (
 )
 from .poly import (
     Poly,
-    bracket_exponent,
     canon_key,
     frobenius_power_mod_bracket,
     frobenius_q,
@@ -128,20 +141,50 @@ class FptSample:
     lam: Fraction
 
 
+def _least_survivors(f: Poly, e_list, initial=None):
+    """Yield, for each e in e_list, the least survivor of f^(p^e - 1): its
+    least monomial in canonical order outside (x_i^(p^e)), or None.
+
+    The four rules in the module docstring decide, in turn: the degree
+    bound, the closed form, the reduced in(f)^(q-1), the reduced f^(q-1).
+    initial, when given, is in(f), so f's initial form is not taken again.
+    """
+    if f.is_zero():
+        raise ZeroInputError("Frobenius power of the zero polynomial")
+    if initial is None:
+        initial = f.order_and_initial()[1]
+    # in(f) is homogeneous, so its least monomial in canonical order is
+    # its lexicographically largest
+    least = max(initial.terms)
+    closed = is_squarefree_supported(initial)
+    for e in e_list:
+        q = frobenius_q(f.field, e)
+        if sum(least) > f.vars.n:
+            yield None
+        elif closed:
+            yield tuple((q - 1) * v for v in least)
+        else:
+            reduced = frobenius_power_mod_bracket(initial, e)
+            if reduced.terms:
+                yield max(reduced.terms)  # homogeneous like in(f)
+            else:
+                reduced = frobenius_power_mod_bracket(f, e)
+                yield reduced.least_monomial() if reduced.terms else None
+
+
 def fsplit_witness(f: Poly):
     """Splitting witness of f at the origin, or None when f is not split.
 
-    Fedder's criterion at e = 1: the least monomial of f^(p-1) outside
-    the bracket ideal (x_i^p : all i), in canonical order.
+    Fedder's criterion at e = 1: the least survivor of f^(p-1) outside
+    the bracket ideal (x_i^p : all i), by the rules of the module
+    docstring.
     """
-    reduced = frobenius_power_mod_bracket(f, 1)
-    if reduced.is_zero():
-        return None
-    return SplitWitness(1, f.field.p, reduced.least_monomial())
+    w = next(_least_survivors(f, (1,)))
+    return None if w is None else SplitWitness(1, f.field.p, w)
 
 
 def verify_split_witness(Q: CIdeal, w: SplitWitness) -> bool:
-    """Re-check that a reported witness really survives the reduction."""
+    """Replay a witness: reduce the power of Q's product and look it up."""
     reduced = frobenius_power_mod_bracket(Q.product(), w.e)
     return w.witness in reduced.terms
 
@@ -317,41 +360,16 @@ def verify_regularity_certificate(Q: CIdeal, cert: RegCertificate) -> bool:
 def _threshold_samples(f: Poly, e_list, initial=None):
     """Yield the threshold sample of f at each e in e_list, None when unsplit.
 
-    Square-free supported f, and f whose initial form is square-free
-    supported, reduce one power at e = 1 for every e (the digit lemma and
-    the initial-form lemma in the module docstring), so p^e may exceed
-    the kernel's 16-bit exponent range.  Other input reduces
-    in(f)^(p^e-1) per e, and f^(p^e-1) only where that dies.  initial,
-    when given, is in(f), so f's initial form is not taken again.
+    b = n(q-1) - |w| for the least survivor w (:func:`_least_survivors`,
+    whose initial argument this passes on).
     """
-    if f.is_zero():
-        raise ZeroInputError("threshold sample of the zero polynomial")
-    fld = f.field
     n = f.vars.n
-    if initial is None and not is_squarefree_supported(f):
-        initial = f.order_and_initial()[1]
-    if initial is None:
-        digits = f
-    else:
-        digits = initial if is_squarefree_supported(initial) else None
-    low = None  # least total degree on supp digits^(p-1), once a sample needs it
-    for e in e_list:
-        if digits is not None:
-            q = frobenius_q(fld, e)
-            if low is None:
-                low = min(sum(w) for w in frobenius_power_mod_bracket(digits, 1).terms)
-            b = n * (q - 1) - (q - 1) // (fld.p - 1) * low
-        else:
-            q = bracket_exponent(fld, e)
-            # initial-form lemma: survivors of in(f)^(q-1), when there are
-            # any, are the survivors of least degree
-            reduced = frobenius_power_mod_bracket(initial, e)
-            if reduced.is_zero():
-                reduced = frobenius_power_mod_bracket(f, e)
-            if reduced.is_zero():
-                yield None
-                continue
-            b = max(n * (q - 1) - sum(w) for w in reduced.terms)
+    for e, w in zip(e_list, _least_survivors(f, e_list, initial)):
+        if w is None:
+            yield None
+            continue
+        q = f.field.p**e
+        b = n * (q - 1) - sum(w)
         yield FptSample(e, q, b, Fraction(b, q - 1))
 
 
@@ -359,14 +377,23 @@ def fpt_sample_poly(f: Poly, e: int):
     """Threshold sample of a bare polynomial at q = p^e, or None when unsplit.
 
     b is the largest total degree of a monomial multiplier keeping the
-    reduced power outside the bracket ideal: for a surviving monomial w
-    the best multiplier fills every exponent up to q-1, so b is the
-    maximal coordinate slack n(q-1) - |w| of the survivors.  For
-    square-free supported f every monomial of f^(q-1) survives, and b is
-    read off f^(p-1) alone as n(q-1) - (q-1)/(p-1) * min |a| over
-    supp f^(p-1), at every e.  For other input of order d, b is
-    (n - d)(q - 1) exactly when the initial form's in(f)^(q-1) survives
-    the bracket, which it always does when in(f) is square-free
-    supported; only when it dies is f^(q-1) itself reduced.
+    reduced power outside the bracket ideal, read off the least survivor
+    (the module docstring).  For f of order d whose initial form is
+    square-free supported, square-free supported f among them, that gives
+    b = (n - d)(q - 1) at every e without reducing any power.
     """
     return next(_threshold_samples(f, (e,)))
+
+
+def _digit_samples(f: Poly, e_list):
+    """Threshold samples of square-free supported f measured on one
+    reduced f^(p-1): b = n(q-1) - (q-1)/(p-1) * min |a| over
+    supp f^(p-1) (the digit lemma in the module docstring)."""
+    fld, n = f.field, f.vars.n
+    low = min(sum(a) for a in frobenius_power_mod_bracket(f, 1).terms)
+    samples = []
+    for e in e_list:
+        q = frobenius_q(fld, e)
+        b = n * (q - 1) - (q - 1) // (fld.p - 1) * low
+        samples.append(FptSample(e, q, b, Fraction(b, q - 1)))
+    return samples

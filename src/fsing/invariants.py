@@ -52,9 +52,9 @@ from itertools import islice, product
 
 from .errors import PointNotOnVarietyError
 from .field import MAX_DEGREE, level_field
-from .frobenius import _threshold_samples
+from .frobenius import _digit_samples, _threshold_samples
 from .poly import Poly
-from .structure import CIdeal, is_squarefree_supported
+from .structure import CIdeal
 
 SEARCH_BUDGET = 10**7
 
@@ -475,22 +475,20 @@ def hypersurface_point_checks(
     over, and :func:`maximize` takes the maximum order from that level on,
     starting from the recorded orders.
 
-    Each check record holds the threshold samples at e = 1 and e = 2, in
-    closed form wherever the theory fixes them.  A checked point where
-    some first partial is nonzero (:func:`smooth_at`) has order 1 and a
-    linear initial form; a checked point where every partial vanishes is
-    shifted, and its order d and initial form in(f) are read off the
-    shifted polynomial.  When in(f) is square-free supported, which a
-    linear form is, in(f)^(q-1) survives the bracket (x_i^q) at every e
-    (the digit lemma in :mod:`fsing.frobenius`), so lam(e) = n - d (the
-    initial-form lemma there) is written down without reducing any power.
-    Only an initial form that is not square-free supported reaches the
-    Frobenius kernel, through :func:`fsing.frobenius._threshold_samples`,
-    and its record's ok bit holds exactly when in(f)^(q-1) survives the
-    bracket.  Returns (max multiplicity seen, list of per-point check
-    records, budget flag).  The threshold identity is exact for every
-    point by the supporting theory, so each record carries an ok bit
-    instead of a tolerance.
+    Each check record holds the threshold samples at e = 1 and e = 2.  A
+    checked point where some first partial is nonzero (:func:`smooth_at`)
+    has order 1 and a linear initial form, so lam(e) = n - 1 there in
+    closed form (rule 2 in :mod:`fsing.frobenius`) and f is not shifted.
+    A checked point where every partial vanishes is shifted, and the
+    shifted polynomial and its initial form go to
+    :func:`fsing.frobenius._threshold_samples`, whose rules decide: a
+    square-free supported initial form gives lam(e) = n - d in closed
+    form, and only any other initial form reaches the Frobenius kernel.
+    A record's ok bit holds exactly when lam(e) = n - ord at e = 1 and
+    e = 2, that is, when in(f)^(q-1) survives the bracket.  Returns (max
+    multiplicity seen, list of per-point check records, budget flag).
+    The threshold identity is exact for every point by the supporting
+    theory, so each record carries an ok bit instead of a tolerance.
     """
     base = f.field
     levels, budget_exceeded = search_levels(base, f.vars.n, s_max, budget)
@@ -516,29 +514,25 @@ def _point_check(fe: Poly, s: int, point, smooth: bool) -> dict:
     """Check record of a zero of fe at level s, smooth there or not: its
     order, threshold samples at e = 1, 2 and ok bit."""
     big, n = fe.field, fe.vars.n
-    samples = None  # closed form: lam(e) = n - ord at e = 1, 2
     if smooth:
-        ordv = 1
+        # a linear initial form: the closed form lam(e) = n - 1, an int,
+        # which has a numerator and a denominator like a Fraction
+        ordv, lams = 1, [n - 1] * 2
     else:
         shifted = fe.shift(point)
         ordv, initial = shifted.order_and_initial()
-        if not is_squarefree_supported(initial):
-            samples = _threshold_samples(shifted, (1, 2), initial)
-    entry = {
+        samples = _threshold_samples(shifted, (1, 2), initial)
+        lams = [None if x is None else x.lam for x in samples]
+    return {
         "point": [big.encode(a) for a in point],
-        "s": s, "ord": ordv, "samples": [], "ok": True,
+        "s": s,
+        "ord": ordv,
+        "samples": [
+            {"e": e, "num": lam.numerator, "den": lam.denominator}
+            for e, lam in zip((1, 2), lams) if lam is not None
+        ],
+        "ok": all(lam == n - ordv for lam in lams),
     }
-    if samples is None:
-        entry["samples"] = [{"e": e, "num": n - ordv, "den": 1} for e in (1, 2)]
-        return entry
-    for e, sample in zip((1, 2), samples):
-        if sample is None or sample.lam != Fraction(n - ordv):
-            entry["ok"] = False
-        if sample is not None:
-            entry["samples"].append(
-                {"e": e, "num": sample.lam.numerator, "den": sample.lam.denominator}
-            )
-    return entry
 
 
 def fpt_crosscheck(Q: CIdeal, rep: InvariantReport, e_list):
@@ -549,18 +543,18 @@ def fpt_crosscheck(Q: CIdeal, rep: InvariantReport, e_list):
     with exact rational discrepancies lam(e) - (n - rep.mult); the closed
     form predicts zero.
 
-    Q is square-free supported, so every sample comes from one reduced
-    f^(p-1) of f = Q.product() (see :func:`fsing.frobenius.fpt_sample_poly`),
-    which is never zero: the e = 1 sample is measured, and the e >= 2
-    samples are derived from it by the digit lemma, which makes them a
-    consistency check rather than independent evidence.  The independent
-    check of the e >= 2 powers is the full-expansion oracle
-    ``naive_kernel`` in the tests.
+    The samples are measured, not derived from the order: every one is
+    read off one reduced f^(p-1) of f = Q.product() by the digit lemma
+    (:func:`fsing.frobenius._digit_samples`), which holds because Q is
+    square-free supported.  So the e = 1 sample is independent evidence
+    for n - mult, and the e >= 2 samples are a consistency check of it.
+    The independent check of the e >= 2 powers is the full-expansion
+    oracle ``naive_kernel`` in the tests.
     """
     if any(a != Q.field.zero for a in rep.point):
         raise ValueError("the crosscheck needs the invariant report at the origin")
     expected = Fraction(Q.vars.n - rep.mult)
     return [
         (sample, sample.lam - expected)
-        for sample in _threshold_samples(Q.product(), e_list)
+        for sample in _digit_samples(Q.product(), e_list)
     ]

@@ -27,6 +27,7 @@ from .frobenius import (
     build_regularity_certificate,
     fsplit_witness,
     verify_regularity_certificate,
+    verify_split_witness,
 )
 from .invariants import dfpt_at, fpt_crosscheck, hypersurface_point_checks
 from .poly import Poly, VarCtx, exact_divide
@@ -137,6 +138,8 @@ def check_sqfree_sample(f: Poly, t_planted=None) -> dict:
     w = fsplit_witness(Q.product())
     if w is None:
         return fail("no splitting witness at e=1")
+    if not verify_split_witness(Q, w):
+        return fail("splitting witness failed its replay")
     rec["witness"] = Q.vars.monomial_str(w.witness)
     try:
         cert = build_regularity_certificate(Q)
@@ -390,7 +393,7 @@ def modification_build(g: Poly, h: Poly, ell_coeffs, s_max: int = 2,
 
     Qt = CIdeal.from_factors([transformed], check_irreducible=False)
     witness = fsplit_witness(Qt.product())
-    if witness is None:
+    if witness is None or not verify_split_witness(Qt, witness):
         raise TheoremContradictionError(
             "transformed model failed the splitting test",
             dump={"transformed": str(transformed)},

@@ -259,10 +259,12 @@ class Poly:
         the layer has its coefficients in the field of f.  One pass over
         the terms builds the whole layer, listing the alpha <= e of a term
         once per tuple of nonzero exponents; the keys come in decreasing
-        lexicographic order, d_0 f first at k = 1.
+        lexicographic order, d_0 f first at k = 1.  No two terms meet: for
+        a fixed alpha the key e - alpha determines e, and c_e * binom(e,
+        alpha) is never 0, the binomials kept being nonzero mod p.
         """
         fld = self.field
-        mul, add, zero, p = fld.mul, fld.add, fld.zero, fld.p
+        mul, p = fld.mul, fld.p
         n = self.vars.n
         lowerings = {}  # nonzero exponents of e -> [(alpha on them, binom mod p)]
 
@@ -289,23 +291,9 @@ class Poly:
                     alpha[i] = j
                 alpha = tuple(alpha)
                 rest = tuple(map(operator.sub, e, alpha))
-                coeff = c if b == 1 else mul(c, fld.scalar(b))
-                out = layers.get(alpha)
-                if out is None:
-                    layers[alpha] = {rest: coeff}
-                    continue
-                cur = out.get(rest)
-                if cur is None:
-                    out[rest] = coeff
-                else:
-                    merged = add(cur, coeff)
-                    if merged == zero:
-                        del out[rest]
-                    else:
-                        out[rest] = merged
+                layers.setdefault(alpha, {})[rest] = c if b == 1 else mul(c, fld.scalar(b))
         return {
-            alpha: Poly(fld, self.vars, layers[alpha])
-            for alpha in sorted(layers, reverse=True) if layers[alpha]
+            alpha: Poly(fld, self.vars, layers[alpha]) for alpha in sorted(layers, reverse=True)
         }
 
     def evaluate(self, point):
@@ -537,7 +525,7 @@ def frobenius_power_mod_bracket(f: Poly, e: int) -> Poly:
     final reduced result.
 
     For square-free supported f no term reaches the bracket, localized or
-    not (the digit lemma in :mod:`fsing.frobenius`); the reduction
+    not (the stage lemma in :mod:`fsing.frobenius`); the reduction
     matters only for input that is not square-free supported.
     """
     if f.is_zero():

@@ -1,6 +1,7 @@
 """Splitting witnesses, localization certificates, threshold samples."""
 
 import itertools
+import json
 import os
 import random
 from fractions import Fraction
@@ -40,7 +41,13 @@ from fsing.errors import (
     TheoremContradictionError,
     ZeroInputError,
 )
-from fsing.frobenius import _discharged, _threshold_samples, _verify_explain
+from fsing.cli import main
+from fsing.frobenius import (
+    _discharged,
+    _least_survivors,
+    _threshold_samples,
+    _verify_explain,
+)
 from fsing.pipeline import hypersurface_point_checks
 
 F2 = build_field(2)
@@ -375,6 +382,83 @@ def test_fpt_sample_falls_back_when_the_initial_power_vanishes(monkeypatch):
         assert _sample_by_definition(initial, e) is None
 
 
+def _random_unsquarefree(fld, rng):
+    """Random f on 1-3 variables that is not square-free supported: 1-3
+    terms of one degree d <= 4, so that in(f) often has several terms, and
+    up to two terms of degree d + 1 or d + 2."""
+    n = rng.randint(1, 3)
+    ctx = VarCtx(f"x{i}" for i in range(n))
+    while True:
+        d = rng.randint(1, 4)
+        degrees = [d] * rng.randint(1, 3) + [rng.randint(d + 1, d + 2)
+                                             for _ in range(rng.randint(0, 2))]
+        terms = {}
+        for k in degrees:
+            cuts = sorted(rng.randint(0, k) for _ in range(n - 1))
+            exps = tuple(b - a for a, b in zip([0, *cuts], [*cuts, k]))
+            terms[exps] = fld.decode(rng.randrange(1, fld.order))
+        f = Poly(fld, ctx, terms)
+        if squarefree_offender(f) is not None:
+            return f
+
+
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)],
+                         ids=["F2", "F3", "F4", "F5", "F7"])
+def test_least_survivors_against_naive_kernel(monkeypatch, p, s):
+    # the least survivor is the least monomial of the fully expanded
+    # f^(q-1) outside the bracket; each rule decides some case, and the
+    # kernel runs only where the rule needs it: never for the degree bound
+    # and the closed form, on in(f) for the initial form, on in(f) and f
+    # for the whole power
+    fld = build_field(p, s)
+    rng = random.Random(10 * p + s)
+    calls = _recording_kernel(monkeypatch)
+    kernel_calls = {"degree bound": 0, "closed form": 0, "initial form": 1, "whole power": 2}
+    decided, unsplit = set(), 0
+    for e in (1, 2):
+        for _ in range(20):
+            f = _random_unsquarefree(fld, rng)
+            d, initial = f.order_and_initial()
+            naive = naive_kernel(f, e)
+            expected = min(naive.terms, key=canon_key) if naive.terms else None
+            calls.clear()
+            assert list(_least_survivors(f, (e,))) == [expected]
+            if d > f.vars.n:
+                rule = "degree bound"
+            elif squarefree_offender(initial) is None:
+                rule = "closed form"
+            elif not naive_kernel(initial, e).is_zero():
+                rule = "initial form"
+            else:
+                rule = "whole power"
+            assert calls == [(initial, e), (f, e)][:kernel_calls[rule]]
+            decided.add(rule)
+            unsplit += expected is None
+    assert decided == set(kernel_calls) and unsplit
+
+
+def test_fsplit_large_p_reduces_at_most_the_initial_form(monkeypatch, tmp_path, capsys):
+    # the degree bound decides x^4 + y^4 + x*y^2 + x^2*y (order 3 in two
+    # variables) and the closed form x1*x2 + x3*x4 + x1^3 (a square-free
+    # initial form), with no kernel call; x^2 + y^2 + z^2 + x*y*z reduces
+    # only its initial form
+    calls = _recording_kernel(monkeypatch)
+    cases = [
+        (211, "x y", "x^4 + y^4 + x*y^2 + x^2*y", [], "NotSplit"),
+        (1009, "x1 x2 x3 x4", "x1*x2 + x3*x4 + x1^3", [],
+         {"e": 1, "q": 1009, "witness": "x1^1008*x2^1008"}),
+        (101, "x y z", "x^2 + y^2 + z^2 + x*y*z", ["x^2 + y^2 + z^2"],
+         {"e": 1, "q": 101, "witness": "x^100*y^100"}),
+    ]
+    for p, names, poly, reduced, fsplit in cases:
+        path = tmp_path / f"p{p}.poly"
+        path.write_text(f"p {p}\nvars {names}\npoly f: {poly}\n")
+        calls.clear()
+        assert main(["check", str(path), "--tests", "fsplit"]) == 0
+        assert [(str(g), e) for g, e in calls] == [(g, 1) for g in reduced]
+        assert json.loads(capsys.readouterr().out)["results"]["polys"][0]["fsplit"] == fsplit
+
+
 PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned")
 # pinned modify inputs: the linear form's coefficients, s_max, max_points
 PINNED_MODIFY = {
@@ -497,14 +581,16 @@ def test_crosscheck_reduces_only_the_first_power(monkeypatch):
 
 
 def test_fpt_sample_exponent_range():
-    # the digit path never builds f^(q-1), so p^e may pass 2^16; the kernel
-    # path, taken by input that is not square-free, keeps the range check
+    # the degree bound and the closed form never build f^(q-1), so p^e may
+    # pass 2^16; the kernel, reached by an initial form that is not
+    # square-free and not past the degree bound, keeps the range check
     F257, ctx = build_field(257), VarCtx(("x",))
     x = mk(F257, ctx, {(1,): 1})
     assert fpt_sample_poly(x, 1) == FptSample(1, 257, 0, Fraction(0))
     assert fpt_sample_poly(x, 2) == FptSample(2, 66049, 0, Fraction(0))
+    assert fpt_sample_poly(mk(F257, ctx, {(2,): 1}), 2) is None
     with pytest.raises(ExponentOverflowError):
-        fpt_sample_poly(mk(F257, ctx, {(2,): 1}), 2)
+        fpt_sample_poly(mk(F257, VarCtx(("x", "y")), {(2, 0): 1}), 2)
     with pytest.raises(ValueError):
         fpt_sample_poly(x, 0)
 

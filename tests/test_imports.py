@@ -23,7 +23,6 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # Definitions no package module reads, each with the reason it stays.
 PUBLIC = {
-    "verify_split_witness": "replays a split witness; the planned report verifier calls it",
     "fpt_sample_poly": "threshold sample at one e for library callers; the package"
     " samples several e at once through _threshold_samples",
     "make": "Poly from a mapping with coefficients checked; perfbench/workloads.py"

@@ -38,6 +38,7 @@ from fsing.errors import (
     HypothesisViolatedError,
     MatroidFormatError,
     ParseError,
+    TheoremContradictionError,
     UnknownVariableError,
 )
 from fsing.field import level_field
@@ -277,6 +278,15 @@ def test_check_sample_detects_planted_mismatch():
     assert "factor" in rec["failure"]
 
 
+def test_check_sample_fails_when_the_witness_replay_rejects(monkeypatch):
+    # the witness is a formula; the sample replays it on the reduced power
+    monkeypatch.setattr(fsing.pipeline, "verify_split_witness", lambda Q, w: False)
+    ctx = VarCtx(("x", "y", "z", "w"))
+    rec = check_sqfree_sample(mk(F2, ctx, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1}))
+    assert not rec["ok"]
+    assert rec["failure"] == "splitting witness failed its replay"
+
+
 def test_minimizer_no_failure_returns_input():
     ctx = VarCtx(("x", "y"))
     f = mk(F2, ctx, {(1, 0): 1, (0, 1): 1})
@@ -378,6 +388,13 @@ def test_modification_with_linear_form():
     # f = g * (1 + x + w) + h contains the degree-3 part g*(x+w) + h
     assert r.f.total_degree() == 3
     assert all(c["ok"] for c in r.point_checks)
+
+
+def test_modification_raises_when_the_witness_replay_rejects(monkeypatch):
+    monkeypatch.setattr(fsing.pipeline, "verify_split_witness", lambda Q, w: False)
+    g, h = mod_inputs()
+    with pytest.raises(TheoremContradictionError):
+        modification_build(g, h, (0, 0, 0, 0))
 
 
 def test_modification_hypothesis_violations():
@@ -583,16 +600,20 @@ def test_cli_square_negative_controls(tmp_path, capsys):
 
 
 def test_cli_split_tripwire_dumps_to_stderr(tmp_path, capsys, monkeypatch):
-    # a square-free supported input without a splitting witness would
-    # contradict the theory: exit 1, no report, a JSON dump on stderr
-    monkeypatch.setattr(fsing.cli, "fsplit_witness", lambda f: None)
+    # a square-free supported input without a splitting witness, or with a
+    # witness its replay on the reduced power rejects, would contradict the
+    # theory: exit 1, no report, a JSON dump on stderr
     path = tmp_path / "quadric.poly"
     path.write_text("p 2\nvars x y z w\npoly f: x*y + z*w\n")
-    assert main(["check", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    dump = json.loads(captured.err)["dump"]
-    assert dump == {"e": 1, "q": 2, "poly": "x*y + z*w", "factors": ["x*y + z*w"]}
+    for name, broken in (("fsplit_witness", lambda f: None),
+                         ("verify_split_witness", lambda Q, w: False)):
+        with monkeypatch.context() as patch:
+            patch.setattr(fsing.cli, name, broken)
+            assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        dump = json.loads(captured.err)["dump"]
+        assert dump == {"e": 1, "q": 2, "poly": "x*y + z*w", "factors": ["x*y + z*w"]}
 
 
 def test_cli_crosscheck_discrepancy_is_a_counterexample(poly_file, capsys, monkeypatch):
@@ -768,6 +789,17 @@ def test_cli_point_search_reports_pinned(monkeypatch, capsys, name, argv):
     # off the initial form must reproduce them too
     monkeypatch.chdir(PINNED)
     assert main(argv) == 0
+    with open(f"{name}.json", encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
+
+
+@pytest.mark.parametrize("name", ["fsplit-xyz101", "fsplit-cubic101", "fsplit-quartic101"])
+def test_cli_fsplit_reports_pinned(monkeypatch, capsys, name):
+    # tests/pinned/NAME.json holds the check --tests fsplit report taken
+    # while every splitting witness reduced the whole f^(p-1); the least
+    # survivor rules must reproduce it byte for byte
+    monkeypatch.chdir(PINNED)
+    assert main(["check", f"{name}.poly", "--tests", "fsplit"]) == 0
     with open(f"{name}.json", encoding="utf-8") as handle:
         assert capsys.readouterr().out == handle.read()
 
