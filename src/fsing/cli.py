@@ -30,8 +30,8 @@ from .field import build_field
 from .frobenius import (
     build_regularity_certificate,
     fsplit_witness,
+    split_witness,
     verify_regularity_certificate,
-    verify_split_witness,
 )
 from .invariants import dfpt_at, fpt_crosscheck, global_invariants
 from .io import (
@@ -158,21 +158,7 @@ def _check_poly(field, varctx, name, f, args):
     entry["t"] = Q.t
     status = "pass"
     if tests in ("all", "fsplit"):
-        product = Q.product()
-        w = fsplit_witness(product)
-        if w is None or not verify_split_witness(Q, w):
-            # square-free supported input always splits, and its witness
-            # survives the reduced power
-            raise TheoremContradictionError(
-                "square-free supported input failed the splitting test",
-                dump={
-                    "e": 1,
-                    "q": field.p,
-                    "poly": str(product),
-                    "factors": [str(g) for g in Q.factors],
-                },
-            )
-        entry["fsplit"] = render_witness(varctx, w)
+        entry["fsplit"] = render_witness(varctx, split_witness(Q))
         if tests == "fsplit":
             return entry, status
     if tests in ("all", "certificate"):

@@ -61,8 +61,8 @@ class CertificateSearchExhausted(FsingError):
 
     The e = 1 witness of a stage exists exactly when its variable does not
     divide the factor being localized, which holds for every irreducible
-    square-free supported factor; so this means a reducible factor, passed
-    to ``CIdeal.from_factors`` with ``check_irreducible=False``.
+    square-free supported factor; so this means a reducible factor, which
+    only an ideal built directly with ``CIdeal(...)`` can hold.
     """
 
 

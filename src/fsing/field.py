@@ -10,8 +10,13 @@ coefficient values in sparse polynomial tables.
 The modulus is not user supplied: construction picks the first monic
 irreducible polynomial of degree s when monic candidates are enumerated
 by their coefficient sequence, higher-degree coefficients most
-significant.  Irreducibility is certified by trial division against
-every monic polynomial of degree at most s/2.
+significant.  A monic f of degree s is irreducible exactly when it has
+no monic factor of degree at most s/2.  For s <= 4 every such degree
+divides k = floor(s/2), and x^(p^k) - x is the product of the monic
+irreducibles of degree dividing k, so f is irreducible exactly when
+gcd(f, x^(p^k) - x) = 1.  That costs O(k log p) products modulo f,
+where trial division by every monic divisor of degree <= s/2 costs
+about p^2 divisions at s = 4.
 
 Elements stay tuples throughout.  Arithmetic takes one of three paths,
 fixed by the field at construction:
@@ -93,24 +98,60 @@ def _uremainder(a, b, p):
     return r
 
 
-def _irreducible_by_trial_division(coeffs, p):
-    """Trial division of a monic polynomial by all monic divisors of degree <= deg/2."""
-    s = len(coeffs) - 1
-    for d in range(1, s // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            if not _uremainder(coeffs, divisor, p):
-                return False
-    return True
+def _umulmod(a, b, f, p):
+    """a * b modulo the monic f."""
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _uremainder([c % p for c in prod], f, p)
+
+
+def _is_irreducible(coeffs, p):
+    """Whether a monic polynomial f of degree 2 <= s <= 4 is irreducible
+    over F_p: gcd(f, x^(p^k) - x) = 1 with k = floor(s/2) (the module
+    docstring)."""
+    power = [0, 1]  # x, already reduced modulo f
+    for _ in range((len(coeffs) - 1) // 2):  # power <- power^p, square-and-multiply
+        base, result, k = power, [1], p
+        while k:
+            if k & 1:
+                result = _umulmod(result, base, coeffs, p)
+            base = _umulmod(base, base, coeffs, p)
+            k >>= 1
+        power = result
+    power += [0] * (2 - len(power))
+    power[1] = (power[1] - 1) % p
+    a, b = list(coeffs), _utrim(power)
+    while b:  # Euclid, making each divisor monic for _uremainder
+        inv = pow(b[-1], p - 2, p)
+        a, b = b, _uremainder(a, [c * inv % p for c in b], p)
+    return len(a) == 1
 
 
 def _smallest_irreducible(p, s):
     # candidates enumerated with the degree-(s-1) coefficient most significant
     for m in range(p**s):
         coeffs = [(m // p**i) % p for i in range(s)] + [1]
-        if _irreducible_by_trial_division(coeffs, p):
+        if _is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise AssertionError("no irreducible polynomial found, impossible")
+
+
+def _t_str(coeffs) -> str:
+    """Ascending coefficients as a sum of c*t^k, highest power first;
+    "" when every coefficient is zero."""
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        if k == 0:
+            parts.append(str(c))
+        else:
+            head = "" if c == 1 else f"{c}*"
+            parts.append(f"{head}t" if k == 1 else f"{head}t^{k}")
+    return "+".join(parts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -407,34 +448,10 @@ class Field:
     # -- formatting ----------------------------------------------------
 
     def scalar_str(self, a) -> str:
-        if self.s == 1:
-            return str(a[0])
-        parts = []
-        for k in range(self.s - 1, -1, -1):
-            c = a[k]
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                parts.append(f"{head}t" if k == 1 else f"{head}t^{k}")
-        return "+".join(parts) if parts else "0"
+        return _t_str(a) or "0"
 
     def modulus_str(self) -> str:
-        if self.modulus is None:
-            return ""
-        parts = []
-        for k in range(self.s, -1, -1):
-            c = self.modulus[k]
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                parts.append(f"{head}t" if k == 1 else f"{head}t^{k}")
-        return "+".join(parts)
+        return _t_str(self.modulus or ())
 
     def __eq__(self, other):
         return (

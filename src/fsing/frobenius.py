@@ -40,9 +40,10 @@ polynomial ring is a domain.  Reduction modulo the monomial ideal
 
 Rules 1 and 2 build no power, so there p^e may exceed the kernel's
 16-bit exponent range.  A witness from rule 2 is a formula, not a
-measurement: the callers that hold the ideal replay it with
-:func:`verify_split_witness`, which reduces the power, so the split is
-still checked by an independent computation.  At a smooth point a of a
+measurement: :func:`split_witness`, the one way the package certifies
+an ideal's splitting, replays it with :func:`verify_split_witness`,
+which reduces the power, so the split is still checked by an
+independent computation.  At a smooth point a of a
 hypersurface, in(f(x + a)) is the linear form sum_i d_i f(a) * x_i (the
 Taylor lemma in :mod:`fsing.invariants`), which is square-free
 supported, so the modify point checks
@@ -189,6 +190,28 @@ def verify_split_witness(Q: CIdeal, w: SplitWitness) -> bool:
     return w.witness in reduced.terms
 
 
+def split_witness(Q: CIdeal) -> SplitWitness:
+    """The splitting witness of Q's product, replayed on the reduced power.
+
+    The product of square-free supported factors always splits, and its
+    witness survives the reduction, so a missing or rejected witness
+    raises TheoremContradictionError with the product and its factors.
+    """
+    product = Q.product()
+    w = fsplit_witness(product)
+    if w is None or not verify_split_witness(Q, w):
+        raise TheoremContradictionError(
+            "square-free supported input failed the splitting test",
+            dump={
+                "e": 1,
+                "q": Q.field.p,
+                "poly": str(product),
+                "factors": [str(g) for g in Q.factors],
+            },
+        )
+    return w
+
+
 # --------------------------------------------------------------------------
 # regularity certificates
 # --------------------------------------------------------------------------
@@ -287,8 +310,8 @@ def build_regularity_certificate(Q: CIdeal) -> RegCertificate:
         if witness is None:
             raise CertificateSearchExhausted(
                 f"{Q.vars.names[var]} divides the factor {g}, so no stage witness "
-                "exists; the factor is reducible, which only "
-                "CIdeal.from_factors(..., check_irreducible=False) admits"
+                "exists; the factor is reducible, which only a directly built "
+                "CIdeal(...) admits"
             )
         mult = tuple(1 if i == var else 0 for i in range(Q.vars.n))
         stages.append(RegStage(var, 1, mult, witness))

@@ -25,14 +25,12 @@ from .errors import (
 from .field import Field, build_field
 from .frobenius import (
     build_regularity_certificate,
-    fsplit_witness,
+    split_witness,
     verify_regularity_certificate,
-    verify_split_witness,
 )
 from .invariants import dfpt_at, fpt_crosscheck, hypersurface_point_checks
 from .poly import Poly, VarCtx, exact_divide
 from .structure import (
-    CIdeal,
     disjoint_factorization,
     is_irreducible_sqfree,
     squarefree_offender,
@@ -135,10 +133,9 @@ def check_sqfree_sample(f: Poly, t_planted=None) -> dict:
     rec["factors"] = [str(g) for g in Q.factors]
     if t_planted is not None and Q.t != t_planted:
         return fail(f"recovered {Q.t} factors, planted {t_planted}")
-    w = fsplit_witness(Q.product())
-    if w is None:
-        return fail("no splitting witness at e=1")
-    if not verify_split_witness(Q, w):
+    try:
+        w = split_witness(Q)
+    except TheoremContradictionError:
         return fail("splitting witness failed its replay")
     rec["witness"] = Q.vars.monomial_str(w.witness)
     try:
@@ -361,21 +358,17 @@ def modification_build(g: Poly, h: Poly, ell_coeffs, s_max: int = 2,
         raise HypothesisViolatedError("wrong number of linear form coefficients", "ell_arity")
     ell_terms = {(0,) * n: fld.one}
     for i, c in enumerate(coeffs):
-        if c != fld.zero:
-            ell_terms[tuple(1 if j == i else 0 for j in range(n))] = c
+        ell_terms[tuple(1 if j == i else 0 for j in range(n))] = c
     ell = Poly(fld, g.vars, ell_terms)
     f = g * ell + h
 
     zname = _fresh_name("z0", g.vars.names)
     ftilde = f.homogenize(zname)
     ctx_z = ftilde.vars
-    ell_tilde_terms = {}
-    z_exps = tuple(1 if j == n else 0 for j in range(n + 1))
-    ell_tilde_terms[z_exps] = fld.one
-    for i, c in enumerate(coeffs):
-        if c != fld.zero:
-            ell_tilde_terms[tuple(1 if j == i else 0 for j in range(n + 1))] = c
-    ell_tilde = Poly(fld, ctx_z, ell_tilde_terms)
+    # ell with its constant term 1 sent to z
+    ell_tilde = Poly(
+        fld, ctx_z, {e + ((0,) if any(e) else (1,)): c for e, c in ell.terms.items()}
+    )
     if ftilde != _extend(g, ctx_z) * ell_tilde + _extend(h, ctx_z):
         raise TheoremContradictionError(
             "homogenization does not match the linear-form model",
@@ -386,18 +379,12 @@ def modification_build(g: Poly, h: Poly, ell_coeffs, s_max: int = 2,
     ctx_y = VarCtx(g.vars.names + (yname,))
     y_poly = Poly.variable(fld, ctx_y, n)
     transformed = _extend(g, ctx_y) * y_poly + _extend(h, ctx_y)
-    if not is_irreducible_sqfree(transformed):
+    Qt = disjoint_factorization(transformed)
+    if Qt.t != 1:
         raise TheoremContradictionError(
             "transformed model is reducible", dump={"transformed": str(transformed)}
         )
-
-    Qt = CIdeal.from_factors([transformed], check_irreducible=False)
-    witness = fsplit_witness(Qt.product())
-    if witness is None or not verify_split_witness(Qt, witness):
-        raise TheoremContradictionError(
-            "transformed model failed the splitting test",
-            dump={"transformed": str(transformed)},
-        )
+    witness = split_witness(Qt)
     cert = build_regularity_certificate(Qt)
     verified = verify_regularity_certificate(Qt, cert)
 

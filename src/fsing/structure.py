@@ -34,7 +34,6 @@ from __future__ import annotations
 from operator import sub
 
 from .errors import (
-    ContextMismatchError,
     FsingError,
     NotSquareFreeSupportedError,
     TheoremContradictionError,
@@ -60,9 +59,12 @@ class CIdeal:
 
     Holds monic irreducible factors with pairwise disjoint variable
     sets, together with the scalar making the product equal the input.
+    The factors are multiplied once, here, in the ideal's own context, so
+    a factor from another context raises ContextMismatchError and every
+    reader of :meth:`product` shares one polynomial.
     """
 
-    __slots__ = ("field", "vars", "factors", "varsets", "constant")
+    __slots__ = ("field", "vars", "factors", "constant", "_product")
 
     # No fallback path exists; the attribute stays for code that still reads it.
     used_fallback = False
@@ -72,10 +74,9 @@ class CIdeal:
         self.vars = varctx
         self.factors = list(factors)
         self.constant = constant
-        self.varsets = [g.vars_used() for g in self.factors]
         if validate:
             seen = set()
-            for g, vs in zip(self.factors, self.varsets):
+            for g in self.factors:
                 off = squarefree_offender(g)
                 if off is not None:
                     raise NotSquareFreeSupportedError(
@@ -83,42 +84,22 @@ class CIdeal:
                     )
                 if g.is_constant():
                     raise ZeroOrConstantError("constant factor in complete intersection")
+                vs = g.vars_used()
                 if seen & vs:
                     raise FsingError("factor variable sets are not pairwise disjoint")
                 seen |= vs
-
-    @classmethod
-    def from_factors(cls, factors, check_irreducible=True):
-        """Build from explicit factors, normalizing each to be monic."""
-        if not factors:
-            raise ZeroOrConstantError("no factors given")
-        field, varctx = factors[0].field, factors[0].vars
-        constant = field.one
-        monics = []
-        for g in factors:
-            if g.field != field or g.vars != varctx:
-                raise ContextMismatchError("factors live in different contexts")
-            if g.is_zero() or g.is_constant():
-                raise ZeroOrConstantError("factors must be nonzero and nonconstant")
-            lc = g.terms[g.leading_monomial()]
-            constant = field.mul(constant, lc)
-            monics.append(g.monic())
-        ideal = cls(field, varctx, monics, constant)
-        if check_irreducible:
-            for g in ideal.factors:
-                if not is_irreducible_sqfree(g):
-                    raise FsingError(f"factor {g} is not irreducible")
-        return ideal
+        product = Poly.constant(field, varctx, 1)
+        for g in self.factors:
+            product = product * g
+        self._product = product
 
     @property
     def t(self) -> int:
         return len(self.factors)
 
     def product(self) -> Poly:
-        result = Poly.constant(self.field, self.vars, 1)
-        for g in self.factors:
-            result = result * g
-        return result
+        """The product of the factors, built once by the constructor."""
+        return self._product
 
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.factors)

@@ -15,7 +15,6 @@ import pytest
 
 from conftest import mk, naive_kernel, oracle_factorization
 from fsing import (
-    CIdeal,
     Poly,
     RegCertificate,
     RegStage,
@@ -301,7 +300,7 @@ def test_acceptance_7_negative_controls(tmp_path, capsys):
         ok = False
     capsys.readouterr()
     quadric = mk(F2, VarCtx(("x", "y", "z", "w")), {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1})
-    Q = CIdeal.from_factors([quadric])
+    Q = disjoint_factorization(quadric)
     cert = build_regularity_certificate(Q)
     if not verify_regularity_certificate(Q, cert):
         ok = False

@@ -53,6 +53,21 @@ def test_modulus_frozen_values():
     assert build_field(3, 2).modulus == (1, 0, 1)  # t^2 + 1
     assert build_field(2, 3).modulus == (1, 1, 0, 1)  # t^3 + t + 1
     assert build_field(2).modulus is None
+    # large characteristic, where trial division by every monic divisor of
+    # degree <= 2 took seconds to hours; these were computed that way
+    assert build_field(257, 4).modulus == (3, 0, 0, 0, 1)  # t^4 + 3
+    assert build_field(1009, 4).modulus == (11, 0, 0, 0, 1)  # t^4 + 11
+    assert build_field(4093, 4).modulus == (2, 0, 0, 0, 1)  # t^4 + 2
+    assert build_field(65521, 3).modulus == (2, 0, 0, 1)  # t^3 + 2
+
+
+def test_modulus_at_the_largest_field():
+    # p = 65521 is 1 mod 4, so -4 is a fourth power and t^4 + c is
+    # irreducible exactly when -c is not a square (Capelli); 17 is the
+    # least c with -c a non-residue, and t^4 + c with c < 17 come first
+    p = 65521
+    assert build_field(p, 4).modulus == (17, 0, 0, 0, 1)
+    assert [c for c in range(1, 18) if pow(-c % p, (p - 1) // 2, p) == p - 1] == [17]
 
 
 def test_modulus_str():

@@ -23,6 +23,7 @@ from fsing import (
     build_regularity_certificate,
     canon_key,
     dfpt_at,
+    disjoint_factorization,
     fpt_crosscheck,
     fpt_sample_poly,
     frobenius_power_mod_bracket,
@@ -60,14 +61,14 @@ def quadric(fld=F2):
 
 
 def quadric_ideal(fld=F2):
-    return CIdeal.from_factors([quadric(fld)])
+    return disjoint_factorization(quadric(fld))
 
 
 def two_quadrics():
     ctx = VarCtx(("x", "y", "z", "w", "a", "b", "c", "d"))
     g1 = mk(F2, ctx, {(1, 1, 0, 0, 0, 0, 0, 0): 1, (0, 0, 1, 1, 0, 0, 0, 0): 1})
     g2 = mk(F2, ctx, {(0, 0, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 0, 0, 0, 1, 1): 1})
-    return CIdeal.from_factors([g1, g2])
+    return disjoint_factorization(g1 * g2)
 
 
 def test_fedder_witness_quadric():
@@ -85,7 +86,7 @@ def test_fedder_witness_two_factors():
 
 def test_fedder_witness_mixed_degrees():
     ctx = VarCtx(("x", "y", "z"))
-    Q = CIdeal.from_factors([mk(F2, ctx, {(1, 0, 0): 1, (0, 1, 1): 1})])
+    Q = disjoint_factorization(mk(F2, ctx, {(1, 0, 0): 1, (0, 1, 1): 1}))
     w = fsplit_witness(Q.product())
     assert w.witness == (1, 0, 0)  # the lower-degree monomial is preferred
 
@@ -164,12 +165,12 @@ def test_certificate_two_factors_frozen():
 
 def test_certificate_base_case_only():
     ctx = VarCtx(("x", "y", "z"))
-    Q = CIdeal.from_factors([mk(F2, ctx, {(1, 0, 0): 1, (0, 1, 1): 1})])
+    Q = disjoint_factorization(mk(F2, ctx, {(1, 0, 0): 1, (0, 1, 1): 1}))
     cert = build_regularity_certificate(Q)
     assert cert.stages == []
     assert cert.base == [(0, (1, 0, 0))]
     assert verify_regularity_certificate(Q, cert)
-    Qvar = CIdeal.from_factors([mk(F2, ctx, {(1, 0, 0): 1})])
+    Qvar = disjoint_factorization(mk(F2, ctx, {(1, 0, 0): 1}))
     cvar = build_regularity_certificate(Qvar)
     assert cvar.stages == [] and cvar.base == [(0, (1, 0, 0))]
     assert verify_regularity_certificate(Qvar, cvar)
@@ -183,18 +184,16 @@ def test_certificate_deterministic():
 def test_certificate_char3_and_char5():
     for p in (3, 5):
         fld = build_field(p)
-        Q = CIdeal.from_factors([quadric(fld)])
+        Q = disjoint_factorization(quadric(fld))
         cert = build_regularity_certificate(Q)
         assert verify_regularity_certificate(Q, cert)
 
 
 def test_certificate_of_reducible_factor_raises():
-    # z*(x + y) passes as one factor only without the irreducibility check;
-    # its preferred variable z divides it, so no stage witness exists
+    # z*(x + y) passes as one factor only in a directly built ideal; its
+    # preferred variable z divides it, so no stage witness exists
     ctx = VarCtx(("x", "y", "z"))
-    Q = CIdeal.from_factors(
-        [mk(F2, ctx, {(1, 0, 1): 1, (0, 1, 1): 1})], check_irreducible=False
-    )
+    Q = CIdeal(F2, ctx, [mk(F2, ctx, {(1, 0, 1): 1, (0, 1, 1): 1})], F2.one)
     with pytest.raises(CertificateSearchExhausted, match="reducible"):
         build_regularity_certificate(Q)
 
@@ -264,7 +263,7 @@ def test_fpt_samples_frozen():
     Q = quadric_ideal()
     assert fpt_sample_poly(Q.product(), 1) == FptSample(1, 2, 2, Fraction(2))
     assert fpt_sample_poly(Q.product(), 2) == FptSample(2, 4, 6, Fraction(2))
-    Q3 = CIdeal.from_factors([quadric(F3)])
+    Q3 = disjoint_factorization(quadric(F3))
     assert fpt_sample_poly(Q3.product(), 1) == FptSample(1, 3, 4, Fraction(2))
     x_in_two = mk(F2, VarCtx(("x", "y")), {(1, 0): 1})
     assert fpt_sample_poly(x_in_two, 2) == FptSample(2, 4, 3, Fraction(1))

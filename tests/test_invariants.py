@@ -49,7 +49,7 @@ def exhaustive_max_mult(Q, s):
 
 def test_multiplicity_examples():
     f = quadric()
-    Q = CIdeal.from_factors([f])
+    Q = disjoint_factorization(f)
     origin = (F2.zero,) * 4
     assert dfpt_at(Q, origin).mult == 2
     off_center = (F2.one, F2.zero, F2.zero, F2.zero)
@@ -62,7 +62,7 @@ def test_multiplicity_examples():
 
 
 def test_dfpt_quadric():
-    Q = CIdeal.from_factors([quadric()])
+    Q = disjoint_factorization(quadric())
     rep = dfpt_at(Q, (F2.zero,) * 4)
     assert (rep.mult, rep.dim, rep.dfpt, rep.t) == (2, 3, 1, 1)
     assert rep.fpt == Fraction(2)
@@ -72,7 +72,7 @@ def test_dfpt_two_factors():
     ctx = VarCtx(("x", "y", "z", "w", "a", "b", "c", "d"))
     g1 = mk(F2, ctx, {(1, 1, 0, 0, 0, 0, 0, 0): 1, (0, 0, 1, 1, 0, 0, 0, 0): 1})
     g2 = mk(F2, ctx, {(0, 0, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 0, 0, 0, 1, 1): 1})
-    Q = CIdeal.from_factors([g1, g2])
+    Q = disjoint_factorization(g1 * g2)
     rep = dfpt_at(Q, (F2.zero,) * 8)
     assert (rep.mult, rep.dim, rep.dfpt, rep.t) == (4, 6, 2, 2)
     assert rep.fpt == Fraction(4)
@@ -82,7 +82,7 @@ def test_dfpt_two_factors():
 
 def test_dfpt_smooth_point():
     ctx = VarCtx(("x", "y", "z"))
-    Q = CIdeal.from_factors([mk(F2, ctx, {(1, 0, 0): 1, (0, 1, 1): 1})])
+    Q = disjoint_factorization(mk(F2, ctx, {(1, 0, 0): 1, (0, 1, 1): 1}))
     rep = dfpt_at(Q, (F2.zero,) * 3)
     assert (rep.mult, rep.dfpt) == (1, 0)
     assert rep.fpt == Fraction(2)
@@ -90,9 +90,7 @@ def test_dfpt_smooth_point():
 
 def test_dfpt_point_off_variety():
     ctx = VarCtx(("x", "y"))
-    Q = CIdeal.from_factors(
-        [mk(F2, ctx, {(1, 0): 1}), mk(F2, ctx, {(0, 1): 1})]
-    )
+    Q = disjoint_factorization(mk(F2, ctx, {(1, 0): 1}) * mk(F2, ctx, {(0, 1): 1}))
     with pytest.raises(PointNotOnVarietyError):
         dfpt_at(Q, (F2.zero, F2.one))
 
@@ -100,7 +98,7 @@ def test_dfpt_point_off_variety():
 def test_global_invariants_matches_exhaustive():
     ctx = VarCtx(("x", "y", "z", "w"))
     f = mk(F2, ctx, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1, (1, 0, 1, 1): 1})
-    Q = CIdeal.from_factors([f])
+    Q = disjoint_factorization(f)
     rep = global_invariants(Q, s_max=2)
     expected = max(exhaustive_max_mult(Q, 1), exhaustive_max_mult(Q, 2))
     assert rep.mult == expected
@@ -111,7 +109,7 @@ def test_global_invariants_matches_exhaustive():
 
 
 def test_global_invariants_homogeneous_exact():
-    Q = CIdeal.from_factors([quadric()])
+    Q = disjoint_factorization(quadric())
     rep = global_invariants(Q, s_max=1)
     assert rep.exact is True
     assert rep.mult == 2
@@ -119,7 +117,7 @@ def test_global_invariants_homogeneous_exact():
 
 
 def test_global_invariants_budget_flag():
-    Q = CIdeal.from_factors([quadric()])
+    Q = disjoint_factorization(quadric())
     rep = global_invariants(Q, s_max=3, budget=10)
     assert rep.budget_exceeded
     assert rep.point == (F2.zero,) * 4  # falls back to the origin report
@@ -137,25 +135,25 @@ def test_global_invariants_no_point():
 def test_global_invariants_non_homogeneous_agrees_with_exhaustive():
     ctx = VarCtx(("x", "y", "z"))
     f = mk(F3, ctx, {(1, 1, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-    Q = CIdeal.from_factors([f])
+    Q = disjoint_factorization(f)
     rep = global_invariants(Q, s_max=1)
     assert rep.mult == exhaustive_max_mult(Q, 1)
 
 
 def test_fpt_crosscheck_zero_discrepancy():
-    Q = CIdeal.from_factors([quadric()])
+    Q = disjoint_factorization(quadric())
     for sample, diff in fpt_crosscheck(Q, dfpt_at(Q, (F2.zero,) * 4), (1, 2, 3)):
         assert diff == 0
         assert sample.lam == Fraction(2)
     ctx = VarCtx(("x", "y", "z"))
-    Qs = CIdeal.from_factors([mk(F3, ctx, {(1, 0, 0): 1, (0, 1, 1): 1})])
+    Qs = disjoint_factorization(mk(F3, ctx, {(1, 0, 0): 1, (0, 1, 1): 1}))
     for sample, diff in fpt_crosscheck(Qs, dfpt_at(Qs, (F3.zero,) * 3), (1, 2)):
         assert diff == 0
         assert sample.lam == Fraction(2)
 
 
 def test_fpt_crosscheck_takes_the_origin_report():
-    Q = CIdeal.from_factors([quadric()])
+    Q = disjoint_factorization(quadric())
     away = dfpt_at(Q, (F2.one, F2.zero, F2.one, F2.zero))
     with pytest.raises(ValueError, match="origin"):
         fpt_crosscheck(Q, away, (1,))
@@ -164,8 +162,8 @@ def test_fpt_crosscheck_takes_the_origin_report():
 def test_fpt_crosscheck_char5_product():
     F5 = build_field(5)
     ctx = VarCtx(("x", "y", "z"))
-    Q = CIdeal.from_factors(
-        [mk(F5, ctx, {(1, 0, 0): 1}), mk(F5, ctx, {(0, 1, 1): 1, (0, 1, 0): 1, (0, 0, 1): 1})]
+    Q = disjoint_factorization(
+        mk(F5, ctx, {(1, 0, 0): 1}) * mk(F5, ctx, {(0, 1, 1): 1, (0, 1, 0): 1, (0, 0, 1): 1})
     )
     for sample, diff in fpt_crosscheck(Q, dfpt_at(Q, (F5.zero,) * 3), (1,)):
         assert diff == 0
@@ -396,7 +394,7 @@ def test_level_zeros_large_level_field():
     f = mk(fld, ctx, {(1,): 1, (0,): 1})
     assert list(level_zeros([f], fld, 1)) == [(fld.scalar(-1),)]
     assert list(level_zeros([f.embed(level_field(fld, 2))], fld, 2)) == []
-    rep = global_invariants(CIdeal.from_factors([f]), s_max=3)
+    rep = global_invariants(disjoint_factorization(f), s_max=3)
     assert (rep.point, rep.mult, rep.budget_exceeded) == ((fld.scalar(-1),), 1, True)
 
 

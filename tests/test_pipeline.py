@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 
 import fsing.cli
+import fsing.frobenius
 import fsing.invariants
 import fsing.pipeline
 from conftest import mk, random_modified
@@ -280,7 +281,7 @@ def test_check_sample_detects_planted_mismatch():
 
 def test_check_sample_fails_when_the_witness_replay_rejects(monkeypatch):
     # the witness is a formula; the sample replays it on the reduced power
-    monkeypatch.setattr(fsing.pipeline, "verify_split_witness", lambda Q, w: False)
+    monkeypatch.setattr(fsing.frobenius, "verify_split_witness", lambda Q, w: False)
     ctx = VarCtx(("x", "y", "z", "w"))
     rec = check_sqfree_sample(mk(F2, ctx, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1}))
     assert not rec["ok"]
@@ -391,7 +392,7 @@ def test_modification_with_linear_form():
 
 
 def test_modification_raises_when_the_witness_replay_rejects(monkeypatch):
-    monkeypatch.setattr(fsing.pipeline, "verify_split_witness", lambda Q, w: False)
+    monkeypatch.setattr(fsing.frobenius, "verify_split_witness", lambda Q, w: False)
     g, h = mod_inputs()
     with pytest.raises(TheoremContradictionError):
         modification_build(g, h, (0, 0, 0, 0))
@@ -577,6 +578,16 @@ def test_cli_check_single_poly(poly_file, capsys):
     assert main(["check", poly_file, "--poly", "missing"]) == 2
 
 
+def test_cli_check_at_the_largest_extension(tmp_path, capsys):
+    # F_(65521^4): the modulus search and the splitting test stay cheap
+    path = tmp_path / "big.poly"
+    path.write_text("p 65521\next 4\nvars x y\npoly f: x*y\n")
+    assert main(["check", str(path), "--tests", "fsplit"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["field"]["modulus"] == "t^4+17"
+    assert report["results"]["polys"][0]["fsplit"]["witness"] == "x^65520*y^65520"
+
+
 def test_cli_factor_and_fpt(poly_file, capsys):
     assert main(["factor", poly_file]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -608,7 +619,7 @@ def test_cli_split_tripwire_dumps_to_stderr(tmp_path, capsys, monkeypatch):
     for name, broken in (("fsplit_witness", lambda f: None),
                          ("verify_split_witness", lambda Q, w: False)):
         with monkeypatch.context() as patch:
-            patch.setattr(fsing.cli, name, broken)
+            patch.setattr(fsing.frobenius, name, broken)
             assert main(["check", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

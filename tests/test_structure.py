@@ -16,6 +16,7 @@ from fsing import (
     squarefree_offender,
 )
 from fsing.errors import (
+    ContextMismatchError,
     DegreeRangeError,
     FsingError,
     NotSquareFreeSupportedError,
@@ -212,19 +213,31 @@ def test_is_irreducible():
     assert not is_irreducible_sqfree(mk(F2, ctx, {(1, 1, 0, 0): 1}))
 
 
-def test_cideal_from_factors():
+def test_cideal_validates_its_factors():
     ctx = VarCtx(("x", "y", "z", "w"))
     g1 = mk(F5, ctx, {(1, 1, 0, 0): 2, (0, 0, 0, 0): 0, (1, 0, 0, 0): 1})
     g2 = mk(F5, ctx, {(0, 0, 1, 1): 3})
-    Q = CIdeal.from_factors([g1, g2], check_irreducible=False)
+    Q = CIdeal(F5, ctx, [g1, g2], F5.one)
     assert Q.t == 2
-    # factors are normalized monic, the scalars folded into the constant
-    assert all(g.terms[g.leading_monomial()] == F5.one for g in Q.factors)
-    assert Q.constant == F5.scalar(6)
-    with pytest.raises(FsingError):
-        CIdeal.from_factors([g1, g1], check_irreducible=False)  # shared variables
+    assert Q.product() == g1 * g2
+    with pytest.raises(FsingError, match="disjoint"):
+        CIdeal(F5, ctx, [g1, g1], F5.one)  # shared variables
     with pytest.raises(ZeroOrConstantError):
-        CIdeal.from_factors([])
+        CIdeal(F5, ctx, [g1, Poly.constant(F5, ctx, 2)], F5.one)
+
+
+def test_cideal_multiplies_its_factors_once():
+    Q = disjoint_factorization(mk(F5, VarCtx(("x", "y")), {(1, 1): 2, (1, 0): 1}))
+    assert Q.product() is Q.product()
+
+
+def test_cideal_rejects_factors_from_two_contexts():
+    ctx = VarCtx(("x", "y", "z", "w"))
+    other = VarCtx(("a", "b", "c", "d"))
+    g1 = mk(F5, ctx, {(1, 1, 0, 0): 1, (1, 0, 0, 0): 1})
+    g2 = mk(F5, other, {(0, 0, 1, 1): 1, (0, 0, 1, 0): 1})
+    with pytest.raises(ContextMismatchError):
+        CIdeal(F5, ctx, [g1, g2], F5.one)
 
 
 def _assert_stable_over(f, s):
