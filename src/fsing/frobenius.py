@@ -41,9 +41,13 @@ polynomial ring is a domain.  Reduction modulo the monomial ideal
 Rules 1 and 2 build no power, so there p^e may exceed the kernel's
 16-bit exponent range.  A witness from rule 2 is a formula, not a
 measurement: :func:`split_witness`, the one way the package certifies
-an ideal's splitting, replays it with :func:`verify_split_witness`,
-which reduces the power, so the split is still checked by an
-independent computation.  At a smooth point a of a
+an ideal's splitting, replays it with :func:`verify_split_witness`.
+The replay builds no power either, yet shares nothing with rule 2: the
+factors use disjoint variables, so the coefficient of x^w in f^(q-1) is
+the product over the factors g of the coefficient of w's part in
+g^(q-1), which :func:`fsing.poly.power_coefficient` sums over the
+compositions of q-1 among the terms of g, each multinomial taken mod p
+by Lucas' theorem.  At a smooth point a of a
 hypersurface, in(f(x + a)) is the linear form sum_i d_i f(a) * x_i (the
 Taylor lemma in :mod:`fsing.invariants`), which is square-free
 supported, so the modify point checks
@@ -82,6 +86,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     CertificateSearchExhausted,
@@ -93,6 +98,7 @@ from .poly import (
     canon_key,
     frobenius_power_mod_bracket,
     frobenius_q,
+    power_coefficient,
 )
 from .structure import CIdeal, is_squarefree_supported
 
@@ -185,9 +191,30 @@ def fsplit_witness(f: Poly):
 
 
 def verify_split_witness(Q: CIdeal, w: SplitWitness) -> bool:
-    """Replay a witness: reduce the power of Q's product and look it up."""
-    reduced = frobenius_power_mod_bracket(Q.product(), w.e)
-    return w.witness in reduced.terms
+    """Replay a witness on the factors of Q, with q = p^(w.e).
+
+    x^w survives (x_i^q) in f^(q-1), f the product of Q's factors, when
+    every exponent of w is below q and its coefficient is nonzero.  The
+    factors use disjoint variables, so that coefficient is zero when w
+    has an exponent outside every factor, and otherwise the product over
+    the factors g of the coefficient of w's part on vars(g) in g^(q-1),
+    which :func:`fsing.poly.power_coefficient` reads off g's terms.  No
+    power is built, and nothing here reuses the closed form behind w.
+    """
+    fld = Q.field
+    q = frobenius_q(fld, w.e)
+    u = tuple(w.witness)
+    if len(u) != Q.vars.n or not all(0 <= v < q for v in u):
+        return False
+    # w's part on vars(g): a variable of g has a nonzero column in g's terms
+    parts = [tuple(map(mul, u, map(any, zip(*g.terms)))) for g in Q.factors]
+    # the parts are disjoint, so w is zero outside the factors exactly
+    # when they add up to w
+    if sum(map(sum, parts)) != sum(u):
+        return False
+    return all(
+        power_coefficient(g, q - 1, part) != fld.zero for g, part in zip(Q.factors, parts)
+    )
 
 
 def split_witness(Q: CIdeal) -> SplitWitness:

@@ -545,3 +545,101 @@ def frobenius_power_mod_bracket(f: Poly, e: int) -> Poly:
         twisted = {tuple(v * scale for v in x): fld.pow(c, scale) for x, c in power.terms.items()}
         result = bracket(result * bracket(Poly(fld, f.vars, twisted)))
     return result
+
+
+def lucas_multinomial(parts, p: int) -> int:
+    """multinomial(sum(parts); parts) mod p, by Lucas' theorem.
+
+    Modulo p the multinomial is the product, over base-p digit positions,
+    of the multinomial of the parts' digits there, and it vanishes exactly
+    when adding the parts in base p carries (Kummer), that is, when some
+    position's digits add up to p or more.  The digit multinomial is the
+    product of the binomials C(d_1 + ... + d_i, d_i), all below p, so no
+    factorial of the sum is built.
+    """
+    result = 1
+    parts = [k for k in parts if k]
+    while parts:
+        total = 0
+        for k in parts:
+            d = k % p
+            total += d
+            if total >= p:
+                return 0
+            result = result * math.comb(total, d) % p
+        parts = [k // p for k in parts if k >= p]
+    return result
+
+
+def _clip(lo, hi, alpha, beta):
+    """Narrow lo..hi to the integers k with k * alpha <= beta."""
+    if alpha > 0:
+        return lo, min(hi, beta // alpha)
+    if alpha < 0:
+        return max(lo, -(beta // -alpha)), hi  # ceil(beta / alpha)
+    return (lo, hi) if beta >= 0 else (lo, lo - 1)
+
+
+def _compositions(terms, k, u):
+    """Every way to write x^u as a product of k terms c*x^a of terms, each
+    a <= u in every coordinate and terms sorted by degree, largest first:
+    tuples of pairs (c, k_t), k_t > 0, in the order of terms.
+
+    Each level picks the next term to take a positive multiplicity k_t, so
+    a term left out costs no recursion.  The terms after it must reach
+    degree |u| - k_t |a| with k - k_t factors, so that degree lies between
+    k - k_t times their least and their largest degree; this bounds k_t to
+    an interval, and the last term takes what is left.  A later term takes
+    part only while it stays below what is left of u.
+    """
+    if not k:
+        if not any(u):
+            yield ()
+        return
+    degree = sum(u)
+    for i, (a, c) in enumerate(terms):
+        d, rest = sum(a), terms[i + 1:]
+        hi = min([k, *(r // v for v, r in zip(a, u) if v)])
+        if rest:
+            high, low = sum(rest[0][0]), sum(rest[-1][0])
+            lo, hi = _clip(1, hi, high - d, k * high - degree)
+            lo, hi = _clip(lo, hi, d - low, degree - k * low)
+        else:
+            lo = k
+        for kt in range(lo, hi + 1):
+            left = tuple(r - kt * v for v, r in zip(a, u))
+            later = [(b, cb) for b, cb in rest if all(map(operator.le, b, left))]
+            for tail in _compositions(later, k - kt, left):
+                yield ((c, kt), *tail)
+
+
+def power_coefficient(g: Poly, k: int, u):
+    """The coefficient of x^u in g^k, read off the terms of g without
+    building any power.
+
+    By the multinomial theorem it is the sum, over multiplicities k_t of
+    the terms c_t x^(a_t) of g with sum k_t = k and sum k_t a_t = u, of
+    multinomial(k; k_t) prod c_t^(k_t).  Only terms with a_t <= u in every
+    coordinate can take a multiplicity, so :func:`_compositions` walks
+    those alone, and each multinomial is taken mod p by
+    :func:`lucas_multinomial`.
+    """
+    if k < 0:
+        raise ValueError("negative power of a polynomial")
+    u = tuple(u)
+    if len(u) != g.vars.n:
+        raise ContextMismatchError(f"exponent vector {u!r} has wrong arity for {g.vars!r}")
+    fld = g.field
+    if k == 1:  # p = 2, e = 1: the coefficient is g's own
+        return g.terms.get(u, fld.zero)
+    terms = [(a, c) for a, c in g.terms.items() if all(map(operator.le, a, u))]
+    terms.sort(key=lambda term: -sum(term[0]))
+    total = fld.zero
+    for chosen in _compositions(terms, k, u):
+        m = lucas_multinomial([kt for _, kt in chosen], fld.p)
+        if m:
+            coeff = fld.scalar(m)
+            for c, kt in chosen:
+                coeff = fld.mul(coeff, fld.pow(c, kt))
+            total = fld.add(total, coeff)
+    return total

@@ -69,25 +69,24 @@ class CIdeal:
     # No fallback path exists; the attribute stays for code that still reads it.
     used_fallback = False
 
-    def __init__(self, field, varctx, factors, constant, validate=True):
+    def __init__(self, field, varctx, factors, constant):
         self.field = field
         self.vars = varctx
         self.factors = list(factors)
         self.constant = constant
-        if validate:
-            seen = set()
-            for g in self.factors:
-                off = squarefree_offender(g)
-                if off is not None:
-                    raise NotSquareFreeSupportedError(
-                        f"factor {g} is not square-free supported", off
-                    )
-                if g.is_constant():
-                    raise ZeroOrConstantError("constant factor in complete intersection")
-                vs = g.vars_used()
-                if seen & vs:
-                    raise FsingError("factor variable sets are not pairwise disjoint")
-                seen |= vs
+        seen = set()
+        for g in self.factors:
+            off = squarefree_offender(g)
+            if off is not None:
+                raise NotSquareFreeSupportedError(
+                    f"factor {g} is not square-free supported", off
+                )
+            if g.is_constant():
+                raise ZeroOrConstantError("constant factor in complete intersection")
+            vs = g.vars_used()
+            if seen & vs:
+                raise FsingError("factor variable sets are not pairwise disjoint")
+            seen |= vs
         product = Poly.constant(field, varctx, 1)
         for g in self.factors:
             product = product * g

@@ -8,8 +8,10 @@ every variable bipartition and checks the rank-one coefficient
 condition on the support table.
 """
 
+import sys
 from itertools import combinations, product
 
+import fsing.poly
 from fsing import Poly, VarCtx
 
 
@@ -32,6 +34,23 @@ def random_modified(fld, n, rng):
         ell = ell + Poly.variable(fld, ctx, i).scale(fld.decode(rng.randrange(fld.order)))
     d = rng.randint(1, 2)
     return form(d) * ell + form(d + 1)
+
+
+def kernel_spy(monkeypatch):
+    """Record every call of fsing.poly.frobenius_power_mod_bracket, through
+    whichever fsing module's binding it comes; returns the (f, e) list."""
+    kernel = fsing.poly.frobenius_power_mod_bracket
+    calls = []
+
+    def recording(f, e):
+        calls.append((f, e))
+        return kernel(f, e)
+
+    for name, module in list(sys.modules.items()):
+        binding = getattr(module, "frobenius_power_mod_bracket", None)
+        if name.split(".")[0] == "fsing" and binding is kernel:
+            monkeypatch.setattr(module, "frobenius_power_mod_bracket", recording)
+    return calls
 
 
 def naive_kernel(f, e, inverted=frozenset()):

@@ -10,7 +10,7 @@ import pytest
 
 import fsing.frobenius
 
-from conftest import mk, naive_kernel, random_modified
+from conftest import kernel_spy, mk, naive_kernel, random_modified
 from fsing import (
     CIdeal,
     FptSample,
@@ -31,6 +31,7 @@ from fsing import (
     modification_build,
     parse_point,
     parse_poly_file,
+    split_witness,
     squarefree_offender,
     verify_regularity_certificate,
     verify_split_witness,
@@ -134,6 +135,100 @@ def test_verify_split_witness_rejects_fake():
     assert verify_split_witness(quadric_ideal(), fake)
     absent = SplitWitness(1, 2, (1, 0, 1, 0))
     assert not verify_split_witness(quadric_ideal(), absent)
+
+
+def test_verify_split_witness_rejects_bad_exponents(monkeypatch):
+    # q comes from w.e: (2, 2) passes a witness that claims q = 4 at e = 1,
+    # but at p = 2 every exponent must stay below 2, which rejects it
+    # before any coefficient is read
+    Q = quadric_ideal()
+    extractor = fsing.frobenius.power_coefficient
+    reads = []
+
+    def recording(g, k, u):
+        reads.append(u)
+        return extractor(g, k, u)
+
+    monkeypatch.setattr(fsing.frobenius, "power_coefficient", recording)
+    assert not verify_split_witness(Q, SplitWitness(1, 4, (2, 2, 0, 0)))
+    assert not verify_split_witness(Q, SplitWitness(1, 4, (3, 3, 0, 0)))
+    assert reads == []
+    assert verify_split_witness(Q, SplitWitness(2, 4, (3, 3, 0, 0)))
+    assert reads == [(3, 3, 0, 0)]
+    # x*y + z*w in five variables: v is outside every factor, so x*y*v is
+    # no monomial of f^(p-1), although each factor's block of it is
+    ctx = VarCtx(("x", "y", "z", "w", "v"))
+    Q5 = disjoint_factorization(mk(F2, ctx, {(1, 1, 0, 0, 0): 1, (0, 0, 1, 1, 0): 1}))
+    assert verify_split_witness(Q5, SplitWitness(1, 2, (1, 1, 0, 0, 0)))
+    assert not verify_split_witness(Q5, SplitWitness(1, 2, (1, 1, 0, 0, 1)))
+    assert not verify_split_witness(Q5, SplitWitness(1, 2, (1, 1, 0, 0)))  # arity
+
+
+def test_verify_split_witness_rejects_cancelling_compositions():
+    # over F_3 the irreducible x1*x2 + x1*x3 + 2*x2*x4 + x3*x4 reaches
+    # x1*x2*x3*x4 in f^2 two ways, (x1*x2)(x3*x4) and (x1*x3)(2*x2*x4), with
+    # coefficients 2*1 and 2*2, which cancel; an absent monomial fails too
+    ctx = VarCtx(("x1", "x2", "x3", "x4"))
+    f = mk(F3, ctx, {(1, 1, 0, 0): 1, (1, 0, 1, 0): 1, (0, 1, 0, 1): 2, (0, 0, 1, 1): 1})
+    Q = disjoint_factorization(f)
+    assert Q.t == 1
+    u = (1, 1, 1, 1)
+    assert u not in naive_kernel(f, 1).terms
+    assert not verify_split_witness(Q, SplitWitness(1, 3, u))
+    assert not verify_split_witness(Q, SplitWitness(1, 3, (2, 0, 0, 0)))
+    assert verify_split_witness(Q, split_witness(Q))
+
+
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=["F2", "F3", "F4", "F5"])
+def test_verify_split_witness_against_naive_kernel(p, s):
+    # a witness passes exactly when it is a monomial of the naive kernel's
+    # reduced product, at e = 1 and e = 2: up to 30 of its monomials and 30
+    # random exponent vectors below q per product
+    fld = build_field(p, s)
+    rng = random.Random(31 * p + s)
+    verdicts = set()
+    for e in (1, 2)[: 2 if p < 5 else 1]:
+        q = p**e
+        for _ in range(8):
+            ctx = VarCtx(f"x{i}" for i in range(5))
+            blocks = [(0, 1), (2, 3), (4,)][: rng.randint(1, 3)]
+            f = Poly.constant(fld, ctx, 1)
+            for block in blocks:
+                g = _random_sqfree_poly(fld, len(block), rng)
+                g = Poly(fld, ctx, {
+                    tuple(x[block.index(i)] if i in block else 0 for i in range(5)): c
+                    for x, c in g.terms.items()
+                })
+                if not g.is_constant():
+                    f = f * g
+            if f.is_constant():
+                continue
+            Q = disjoint_factorization(f)
+            naive = naive_kernel(Q.product(), e)
+            support = sorted(naive.terms)
+            some = rng.sample(support, min(30, len(support)))
+            box = [tuple(rng.randrange(q) for _ in range(5)) for _ in range(30)]
+            for u in [*some, *box]:
+                verdict = verify_split_witness(Q, SplitWitness(e, q, u))
+                assert verdict == (u in naive.terms)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_split_witness_reduces_no_power(monkeypatch):
+    # the witness is the closed form and its replay reads coefficients off
+    # each factor, so no kernel call runs, on three factors as on one
+    calls = kernel_spy(monkeypatch)
+    ctx = VarCtx(("a", "b", "c", "d", "x", "y", "z", "w", "v"))
+    g1 = mk(F3, ctx, {(1, 1, 0, 0, 0, 0, 0, 0, 0): 1, (0, 0, 1, 1, 0, 0, 0, 0, 0): 2})
+    g2 = mk(F3, ctx, {(0, 0, 0, 0, 1, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0, 0, 1, 0, 0): 1})
+    g3 = mk(F3, ctx, {(0, 0, 0, 0, 0, 0, 0, 1, 1): 1, (0, 0, 0, 0, 0, 0, 0, 1, 0): 1,
+                      (0, 0, 0, 0, 0, 0, 0, 0, 1): 1})
+    for Q in (quadric_ideal(F3), disjoint_factorization(g1 * g2 * g3)):
+        w = split_witness(Q)
+        assert w.witness in naive_kernel(Q.product(), 1).terms
+    assert Q.t == 3
+    assert calls == []
 
 
 def test_split_at_higher_levels():
@@ -245,7 +340,8 @@ def test_corrupted_certificates_fail():
 def test_duplicate_unit_variables_rejected():
     ctx = VarCtx(("x", "y"))
     x = mk(F2, ctx, {(1, 0): 1})
-    fake_q = CIdeal(F2, ctx, [x, x], F2.one, validate=False)
+    fake_q = CIdeal(F2, ctx, [x], F2.one)
+    fake_q.factors = [x, x]  # the constructor rejects a repeated factor
     cert = RegCertificate([], [(0, (1, 0)), (1, (1, 0))])
     ok, reason = _verify_explain(fake_q, cert)
     assert not ok and "distinct" in reason

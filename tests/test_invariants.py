@@ -17,9 +17,15 @@ from fsing import (
     fpt_crosscheck,
     global_invariants,
 )
-from fsing.errors import PointNotOnVarietyError, ZeroInputError
+from fsing.errors import PointNotOnVarietyError, ZeroInputError, ZeroOrConstantError
 from fsing.field import level_field
-from fsing.invariants import SEARCH_BUDGET, level_zeros, search_levels, smooth_at
+from fsing.invariants import (
+    SEARCH_BUDGET,
+    _order_sum,
+    level_zeros,
+    search_levels,
+    smooth_at,
+)
 from fsing.pipeline import random_sqfree
 
 F2 = build_field(2)
@@ -56,9 +62,11 @@ def test_multiplicity_examples():
     assert dfpt_at(Q, off_center).mult == 1
     with pytest.raises(PointNotOnVarietyError):
         dfpt_at(Q, (F2.one, F2.one, F2.zero, F2.zero))
-    zero = CIdeal(F2, XYZW, [Poly.zero(F2, XYZW)], F2.one, validate=False)
+    # the constructor rejects a zero factor, and the order sum a zero one
+    with pytest.raises(ZeroOrConstantError):
+        CIdeal(F2, XYZW, [Poly.zero(F2, XYZW)], F2.one)
     with pytest.raises(ZeroInputError):
-        dfpt_at(zero, origin)
+        _order_sum([Poly.zero(F2, XYZW)], origin)
 
 
 def test_dfpt_quadric():

@@ -13,7 +13,7 @@ import fsing.cli
 import fsing.frobenius
 import fsing.invariants
 import fsing.pipeline
-from conftest import mk, random_modified
+from conftest import kernel_spy, mk, random_modified
 from fsing import (
     CIdeal,
     Poly,
@@ -804,15 +804,29 @@ def test_cli_point_search_reports_pinned(monkeypatch, capsys, name, argv):
         assert capsys.readouterr().out == handle.read()
 
 
-@pytest.mark.parametrize("name", ["fsplit-xyz101", "fsplit-cubic101", "fsplit-quartic101"])
+@pytest.mark.parametrize("name", ["fsplit-xyz101", "fsplit-cubic101", "fsplit-quartic101",
+                                  "fsplit-quadric1009"])
 def test_cli_fsplit_reports_pinned(monkeypatch, capsys, name):
     # tests/pinned/NAME.json holds the check --tests fsplit report taken
-    # while every splitting witness reduced the whole f^(p-1); the least
-    # survivor rules must reproduce it byte for byte
+    # while every splitting witness reduced the whole f^(p-1), or, for the
+    # square-free quadric, while its replay did; the least survivor rules
+    # and the per-factor replay must reproduce it byte for byte
     monkeypatch.chdir(PINNED)
     assert main(["check", f"{name}.poly", "--tests", "fsplit"]) == 0
     with open(f"{name}.json", encoding="utf-8") as handle:
         assert capsys.readouterr().out == handle.read()
+
+
+def test_cli_fsplit_at_the_largest_prime(monkeypatch, capsys):
+    # at p = 65521 the kernel could not even build f^(p-1) (p^e must stay
+    # below 2^16 there); the closed-form witness and its per-factor replay
+    # need no kernel call
+    calls = kernel_spy(monkeypatch)
+    monkeypatch.chdir(PINNED)
+    assert main(["check", "fsplit-quadric65521.poly", "--tests", "fsplit"]) == 0
+    entry = json.loads(capsys.readouterr().out)["results"]["polys"][0]
+    assert entry["fsplit"] == {"e": 1, "q": 65521, "witness": "x1^65520*x2^65520"}
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
-"""Sparse polynomial arithmetic, division, and the reduced Frobenius power."""
+"""Sparse polynomial arithmetic, division, the reduced Frobenius power and
+its coefficient extractor."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -12,6 +15,7 @@ from fsing import (
     exact_divide,
     frobenius_power_mod_bracket,
 )
+from fsing.poly import lucas_multinomial, power_coefficient
 from fsing.errors import (
     ContextMismatchError,
     ExponentOverflowError,
@@ -289,6 +293,121 @@ def test_kernel_frobenius_twist_on_extension_coefficients():
     F4 = build_field(2, 2)
     f = Poly(F4, XY, {(1, 0): (0, 1), (0, 1): (1, 0)})
     assert frobenius_power_mod_bracket(f, 2) == naive_kernel(f, 2)
+
+
+def _integer_compositions(k):
+    """Every composition of k into positive parts, [] for k = 0."""
+    if k == 0:
+        yield []
+        return
+    for first in range(1, k + 1):
+        for rest in _integer_compositions(k - first):
+            yield [first, *rest]
+
+
+def _digit_sum(k, p):
+    total = 0
+    while k:
+        k, d = divmod(k, p)
+        total += d
+    return total
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lucas_multinomial_matches_factorials(p):
+    # a carry, some digit position whose digits add up to p or more, shows
+    # as a digit sum of the parts above that of k (Legendre), and gives 0
+    carries = 0
+    for k in range(13):
+        for parts in _integer_compositions(k):
+            exact = math.factorial(k)
+            for part in parts:
+                exact //= math.factorial(part)
+            value = lucas_multinomial(parts, p)
+            assert value == exact % p
+            carry = sum(_digit_sum(part, p) for part in parts) > _digit_sum(k, p)
+            assert (value == 0) == carry
+            carries += carry
+    assert carries
+    assert lucas_multinomial([0, 5, 0], p) == 1
+
+
+def _box(q, n, rng, count):
+    """count random exponent vectors with every entry below q."""
+    return [tuple(rng.randrange(q) for _ in range(n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "p, s, n_max",
+    [(2, 1, 4), (3, 1, 3), (2, 2, 3), (5, 1, 2), (3, 2, 2)],
+    ids=["F2", "F3", "F4", "F5", "F9"],
+)
+def test_power_coefficient_against_naive_kernel(p, s, n_max):
+    # inside the box of exponents below q = p^e the bracket drops nothing,
+    # so the coefficient of x^u in f^(q-1) is the naive kernel's, and 0 off
+    # its support; exponents up to 2 make most inputs not square-free
+    fld = build_field(p, s)
+    rng = random.Random(100 * p + s)
+    checked = {True: 0, False: 0}
+    for e in (1, 2):
+        q = p**e
+        for _ in range(12):
+            ctx = VarCtx(f"x{i}" for i in range(rng.randint(1, n_max)))
+            f = random_poly(fld, ctx, rng, max_terms=4, max_exp=2)
+            naive = naive_kernel(f, e)
+            for u, c in naive.terms.items():
+                assert power_coefficient(f, q - 1, u) == c
+            for u in _box(q, ctx.n, rng, 20):
+                if u not in naive.terms:
+                    assert power_coefficient(f, q - 1, u) == fld.zero
+            checked[all(v <= 1 for exps in f.terms for v in exps)] += 1
+    assert checked[True] and checked[False]
+
+
+@pytest.mark.parametrize(
+    "p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)], ids=["F2", "F3", "F4", "F5", "F9"]
+)
+def test_power_coefficient_multiplies_over_disjoint_factors(p, s):
+    # g on x0, x1 and h on x2, x3: the coefficient of x^u in the expanded
+    # (g*h)^k is the product of the coefficients of u's blocks in g^k, h^k
+    fld = build_field(p, s)
+    rng = random.Random(7 * p + s)
+    for e in (1, 2):
+        q = p**e
+        for _ in range(6):
+            g = random_poly(fld, XYZW, rng, max_terms=3, max_exp=1)
+            h = random_poly(fld, XYZW, rng, max_terms=3, max_exp=1)
+            g = Poly(fld, XYZW, {x[:2] + (0, 0): c for x, c in g.terms.items()})
+            h = Poly(fld, XYZW, {(0, 0) + x[2:]: c for x, c in h.terms.items()})
+            naive = naive_kernel(g * h, e)
+            for u in [*naive.terms, *_box(q, 4, rng, 20)]:
+                split = fld.mul(
+                    power_coefficient(g, q - 1, u[:2] + (0, 0)),
+                    power_coefficient(h, q - 1, (0, 0) + u[2:]),
+                )
+                assert split == naive.terms.get(u, fld.zero)
+
+
+def test_power_coefficient_edge_cases():
+    f = mk(F3, XY, {(1, 0): 1, (0, 1): 1})
+    assert power_coefficient(f, 0, (0, 0)) == F3.one
+    assert power_coefficient(f, 0, (1, 0)) == F3.zero
+    assert power_coefficient(f, 2, (1, 1)) == F3.scalar(2)
+    assert power_coefficient(f, 3, (1, 1)) == F3.zero  # degree 2 is not 3
+    # x^(p^2 - 1) * y^(p^2 - 1) at p = 65521 is one forced composition
+    F = build_field(65521)
+    g = mk(F, XY, {(1, 1): 5, (1, 0): 1, (0, 0): 1})
+    k = 65521**2 - 1
+    assert power_coefficient(g, k, (k, k)) == F.pow(F.scalar(5), k) == F.one
+    # U(3,6)'s basis polynomial: x1*...*x6 in g^2 pairs each 3-set with its
+    # complement, 10 unordered pairs of multinomial 2
+    ctx = VarCtx(f"x{i}" for i in range(6))
+    g = Poly(F3, ctx, {m: F3.one for m in itertools.product((0, 1), repeat=6) if sum(m) == 3})
+    assert power_coefficient(g, 2, (1,) * 6) == F3.scalar(20)
+    with pytest.raises(ValueError):
+        power_coefficient(f, -1, (0, 0))
+    with pytest.raises(ContextMismatchError):
+        power_coefficient(f, 1, (1, 0, 0))
 
 
 def test_embed():
