@@ -55,18 +55,35 @@ supported, so the modify point checks
 lambda(e) = n - 1 without shifting f; a singular point's shifted
 polynomial goes through the rules with its initial form.
 
-Regularity certificates need the kernel only at e = 1 and without
-localization (the stage lemma).  Let f be square-free supported,
-q = p^e, S a set of inverted variables and v not in S.  (a) Every
-exponent of f^(q-1) is at most q-1, as in rule 2, so the bracket,
-localized at S or not, discards nothing.  (b) The x_v-free part of
-f^(q-1) is (f|x_v=0)^(q-1), nonzero exactly when x_v does not divide f;
-when f = x_v*A every term carries x_v^(q-1) and dies after multiplying
-by x_v.  So x_v*f^(q-1) has a surviving monomial iff x_v does not
-divide f, whatever e and S are, and a stage that fails at e = 1 fails
-at every e.  (c) The preferred variable of an offending irreducible
-factor never divides f: if it did, the factor would be that variable,
-whose monomial has un-inverted degree 1.
+Regularity certificates build no power.  Let f be square-free
+supported, q = p^e, S a set of inverted variables and v not in S (the
+stage lemma).  (a) Every exponent of f^(q-1) is at most q-1, as in
+rule 2, so the bracket, localized at S or not, discards nothing.  (b)
+The x_v-free part of f^(q-1) is (f|x_v=0)^(q-1), nonzero exactly when
+x_v does not divide f; when f = x_v*A every term carries x_v^(q-1) and
+dies after multiplying by x_v.  So x_v*f^(q-1) has a surviving monomial
+iff x_v does not divide f, whatever e and S are, and a stage that fails
+at e = 1 fails at every e.  (c) The preferred variable of an offending
+irreducible factor never divides f: if it did, the factor would be that
+variable, whose monomial has un-inverted degree 1.
+
+The stage witness, the first survivor of x_v*f^(p-1), is read off the
+factors' terms (the k in {0, p-2} lemma).  Write f = x_v*A + B with A
+and B free of x_v, as f is square-free supported.  The terms of f^(p-1)
+of x_v-degree k are binom(p-1, k) x_v^k A^k B^(p-1-k), and
+binom(p-1, k) = (-1)^k is nonzero mod p.  x_v times such a term
+survives exactly when k <= p-2.  Canonical order is graded and
+compatible with multiplication, so the least monomial of a product is
+the product of the least monomials, and the least monomial at degree k
+is k lm(x_v A) + (p-1-k) lm(B), one step of lm(x_v A) - lm(B) per k;
+its least over 0 <= k <= p-2 sits at k = 0 or k = p-2.  Distinct k give
+distinct x_v-degrees, so nothing cancels.  For f = g * prod(h) over the
+active factors, g the offending one with g = x_v*A_g + B_g, lm(B) is
+lm(B_g) plus the sum of the lm(h), and lm(x_v A) is lm(x_v A_g) plus
+the same sum.  B = 0, that is x_v dividing g, leaves no stage.  The
+replay (:func:`_verify_explain`) shares nothing with this formula: it
+checks that the witness minus x_v survives in f^(p-1) by
+:func:`_survives`, the per-factor coefficient test of the split replay.
 
 The digit lemma serves only the threshold crosscheck
 (:func:`fsing.invariants.fpt_crosscheck`), which measures what rule 2
@@ -86,7 +103,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     CertificateSearchExhausted,
@@ -190,31 +207,37 @@ def fsplit_witness(f: Poly):
     return None if w is None else SplitWitness(1, f.field.p, w)
 
 
-def verify_split_witness(Q: CIdeal, w: SplitWitness) -> bool:
-    """Replay a witness on the factors of Q, with q = p^(w.e).
+def _survives(factors, q: int, u) -> bool:
+    """Whether x^u is a monomial of f^(q-1) outside (x_i^q), f the product
+    of the variable-disjoint factors.
 
-    x^w survives (x_i^q) in f^(q-1), f the product of Q's factors, when
-    every exponent of w is below q and its coefficient is nonzero.  The
-    factors use disjoint variables, so that coefficient is zero when w
-    has an exponent outside every factor, and otherwise the product over
-    the factors g of the coefficient of w's part on vars(g) in g^(q-1),
-    which :func:`fsing.poly.power_coefficient` reads off g's terms.  No
-    power is built, and nothing here reuses the closed form behind w.
+    Every exponent of u must be below q.  The factors use disjoint
+    variables, so the coefficient of x^u in f^(q-1) is zero when u has an
+    exponent outside every factor, and otherwise the product over the
+    factors g of the coefficient of u's part on vars(g) in g^(q-1), which
+    :func:`fsing.poly.power_coefficient` reads off g's terms.  No power is
+    built.
     """
-    fld = Q.field
-    q = frobenius_q(fld, w.e)
-    u = tuple(w.witness)
-    if len(u) != Q.vars.n or not all(0 <= v < q for v in u):
+    u = tuple(u)
+    if len(u) != factors[0].vars.n or not all(0 <= v < q for v in u):
         return False
-    # w's part on vars(g): a variable of g has a nonzero column in g's terms
-    parts = [tuple(map(mul, u, map(any, zip(*g.terms)))) for g in Q.factors]
-    # the parts are disjoint, so w is zero outside the factors exactly
-    # when they add up to w
+    # u's part on vars(g): a variable of g has a nonzero column in g's terms
+    parts = [tuple(map(mul, u, map(any, zip(*g.terms)))) for g in factors]
+    # the parts are disjoint, so u is zero outside the factors exactly
+    # when they add up to u
     if sum(map(sum, parts)) != sum(u):
         return False
-    return all(
-        power_coefficient(g, q - 1, part) != fld.zero for g, part in zip(Q.factors, parts)
-    )
+    zero = factors[0].field.zero
+    return all(power_coefficient(g, q - 1, part) != zero for g, part in zip(factors, parts))
+
+
+def verify_split_witness(Q: CIdeal, w: SplitWitness) -> bool:
+    """Replay a witness on the factors of Q, with q = p^(w.e): x^w must
+    survive (x_i^q) in f^(q-1), f the product of Q's factors, which
+    :func:`_survives` decides per factor.  Nothing here reuses the closed
+    form behind w.
+    """
+    return _survives(Q.factors, frobenius_q(Q.field, w.e), w.witness)
 
 
 def split_witness(Q: CIdeal) -> SplitWitness:
@@ -253,29 +276,31 @@ def _discharged(factor: Poly, inverted) -> bool:
     return any(_uninverted_degree(e, inverted) == 0 for e in factor.terms)
 
 
-def _active_product(factors, active):
-    head = factors[active[0]]
-    result = head
-    for i in active[1:]:
-        result = result * factors[i]
-    return result
+def _stage_witness(g: Poly, others, var: int):
+    """First surviving monomial of x_var * f^(p-1) in canonical order, or
+    None, for f = g * prod(others): square-free supported factors on
+    disjoint variables, x_var one of g's or of none.
 
-
-def _stage_witness(f: Poly, var: int):
-    """First surviving monomial of x_var * f^(p-1) in canonical order, or None.
-
-    By the stage lemma in the module docstring this decides the stage at
-    every e and localization: None means x_var divides f.  x_var * w
-    survives the bracket (x_i^p) exactly when w_var <= p - 2, and
-    canonical order is graded and compatible with adding e_var, so the
-    first survivor is e_var plus the least such w in supp of the reduced
-    f^(p-1).
+    By the k in {0, p-2} lemma in the module docstring: with
+    g = x_var*A + B, A and B free of x_var, and H = prod(others), it is
+    x_var times the lesser of (p-1)*lm(B H) and
+    (p-2)*lm(x_var A H) + lm(B H), where lm, the least monomial, takes
+    products to sums; None when B = 0, that is, when x_var divides g.
     """
-    top = f.field.p - 2
-    survivors = [w for w in frobenius_power_mod_bracket(f, 1).terms if w[var] <= top]
-    if not survivors:
+    p = g.field.p
+    free = [a for a in g.terms if not a[var]]
+    if not free:
         return None
-    w = min(survivors, key=canon_key)
+    low = [0] * g.vars.n
+    for h in others:
+        low = list(map(add, low, h.least_monomial()))
+    b = tuple(map(add, min(free, key=canon_key), low))
+    candidates = [tuple((p - 1) * y for y in b)]
+    tied = [a for a in g.terms if a[var]]
+    if tied:
+        a = tuple(map(add, min(tied, key=canon_key), low))
+        candidates.append(tuple((p - 2) * x + y for x, y in zip(a, b)))
+    w = min(candidates, key=canon_key)
     return w[:var] + (w[var] + 1,) + w[var + 1:]
 
 
@@ -328,12 +353,12 @@ def build_regularity_certificate(Q: CIdeal) -> RegCertificate:
                 offending = i
         if offending is None:
             return RegCertificate(stages, base, notes)
-        f = _active_product(Q.factors, active)
         g = Q.factors[offending]
         # an offending factor has no monomial of un-inverted degree 0 or 1,
         # so it has an un-inverted variable
         var = max(v for v in g.vars_used() if v not in inverted)
-        witness = _stage_witness(f, var)
+        others = [Q.factors[i] for i in active if i != offending]
+        witness = _stage_witness(g, others, var)
         if witness is None:
             raise CertificateSearchExhausted(
                 f"{Q.vars.names[var]} divides the factor {g}, so no stage witness "
@@ -371,13 +396,12 @@ def _verify_explain(Q: CIdeal, cert: RegCertificate):
         ):
             return False, f"stage {k}: witness has an un-inverted exponent >= p^e"
         # the plain bracket equals the localized one here (stage lemma), and
-        # the witness survives x_v * f^(q-1) iff witness - x_v is a monomial
-        # of the reduced f^(q-1): those have every exponent below q, and x_v,
-        # not yet inverted, passed the exponent test above
-        f = _active_product(Q.factors, active)
+        # the witness survives x_v * f^(q-1) iff witness - x_v survives in
+        # f^(q-1), f the product of the active factors: x_v, not yet
+        # inverted, passed the exponent test above
         rest = tuple(w - m for w, m in zip(stage.witness, expected_mult))
-        if rest not in frobenius_power_mod_bracket(f, stage.e).terms:
-            return False, f"stage {k}: witness does not survive the reduction"
+        if not _survives([Q.factors[i] for i in active], q, rest):
+            return False, f"stage {k}: witness does not survive the bracket"
         inverted.add(stage.inverted_var)
     discharge()
     recorded = {i for i, _ in cert.base}

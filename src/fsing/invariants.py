@@ -549,7 +549,10 @@ def fpt_crosscheck(Q: CIdeal, rep: InvariantReport, e_list):
     square-free supported.  So the e = 1 sample is independent evidence
     for n - mult, and the e >= 2 samples are a consistency check of it.
     The independent check of the e >= 2 powers is the full-expansion
-    oracle ``naive_kernel`` in the tests.
+    oracle ``naive_kernel`` in the tests.  On square-free supported input
+    this f^(p-1) is the only power the package reduces: splitting
+    witnesses, certificate stages and both replays read the factors'
+    terms instead.
     """
     if any(a != Q.field.zero for a in rep.point):
         raise ValueError("the crosscheck needs the invariant report at the origin")

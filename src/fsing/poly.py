@@ -589,8 +589,10 @@ def _compositions(terms, k, u):
     a term left out costs no recursion.  The terms after it must reach
     degree |u| - k_t |a| with k - k_t factors, so that degree lies between
     k - k_t times their least and their largest degree; this bounds k_t to
-    an interval, and the last term takes what is left.  A later term takes
-    part only while it stays below what is left of u.
+    an interval.  The same holds for each coordinate on its own, which
+    fixes k_t outright when the later terms miss a variable of this one,
+    however large k is.  The last term takes what is left.  A later term
+    takes part only while it stays below what is left of u.
     """
     if not k:
         if not any(u):
@@ -604,6 +606,10 @@ def _compositions(terms, k, u):
             high, low = sum(rest[0][0]), sum(rest[-1][0])
             lo, hi = _clip(1, hi, high - d, k * high - degree)
             lo, hi = _clip(lo, hi, d - low, degree - k * low)
+            for v, r, col in zip(a, u, zip(*(b for b, _ in rest))):
+                top, bottom = max(col), min(col)
+                lo, hi = _clip(lo, hi, top - v, k * top - r)
+                lo, hi = _clip(lo, hi, v - bottom, r - k * bottom)
         else:
             lo = k
         for kt in range(lo, hi + 1):

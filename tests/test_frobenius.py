@@ -31,6 +31,7 @@ from fsing import (
     modification_build,
     parse_point,
     parse_poly_file,
+    random_sqfree,
     split_witness,
     squarefree_offender,
     verify_regularity_certificate,
@@ -335,6 +336,61 @@ def test_corrupted_certificates_fail():
     )
     ok, reason = _verify_explain(Q, repeat_stage)
     assert not ok and "already inverted" in reason
+
+
+def test_stage_replay_uses_only_the_active_factors():
+    # inverting w and then z discharges x*y + z*w; a later stage's witness
+    # must survive in the power of the active factor a*b + c*d alone, so
+    # x*y*a*b*d, a monomial of the whole product's power times d, fails
+    # while a*b*d passes
+    ctx = VarCtx(("x", "y", "z", "w", "a", "b", "c", "d"))
+    g1 = mk(F2, ctx, {(1, 1, 0, 0, 0, 0, 0, 0): 1, (0, 0, 1, 1, 0, 0, 0, 0): 1})
+    g2 = mk(F2, ctx, {(0, 0, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 0, 0, 0, 1, 1): 1})
+    Q = disjoint_factorization(g1 * g2)
+    unit = [tuple(int(j == i) for j in range(8)) for i in range(8)]
+    stages = [
+        RegStage(3, 1, unit[3], (1, 1, 0, 1, 1, 1, 0, 0)),
+        RegStage(2, 1, unit[2], (1, 1, 1, 0, 1, 1, 0, 0)),
+        RegStage(7, 1, unit[7], (0, 0, 0, 0, 1, 1, 0, 1)),
+    ]
+    base = [(1, (0, 0, 0, 0, 0, 0, 1, 1))]
+    assert _verify_explain(Q, RegCertificate(stages, base)) == (True, None)
+    touched = stages[:2] + [RegStage(7, 1, unit[7], (1, 1, 0, 0, 1, 1, 0, 1))]
+    assert (1, 1, 0, 0, 1, 1, 0, 0) in naive_kernel(Q.product(), 1).terms
+    ok, reason = _verify_explain(Q, RegCertificate(touched, base))
+    assert not ok and reason.startswith("stage 2") and "survive" in reason
+
+
+def test_stage_replay_rejects_cancelling_compositions():
+    # the split replay's F_3 input: x1*x2*x3*x4 is reached in f^2 two ways
+    # whose coefficients cancel, so x1*x2*x3*x4^2 is no stage witness for x4
+    ctx = VarCtx(("x1", "x2", "x3", "x4"))
+    f = mk(F3, ctx, {(1, 1, 0, 0): 1, (1, 0, 1, 0): 1, (0, 1, 0, 1): 2, (0, 0, 1, 1): 1})
+    Q = disjoint_factorization(f)
+    good = build_regularity_certificate(Q)
+    assert good.stages[0].inverted_var == 3
+    assert _verify_explain(Q, good) == (True, None)
+    forged = RegCertificate(
+        [RegStage(3, 1, (0, 0, 0, 1), (1, 1, 1, 2))] + good.stages[1:], list(good.base)
+    )
+    ok, reason = _verify_explain(Q, forged)
+    assert not ok and "survive" in reason
+
+
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (5, 1), (2, 2)], ids=["F2", "F3", "F5", "F4"])
+def test_certificates_reduce_no_power(monkeypatch, p, s):
+    # stage witnesses are read off the factors' terms and replayed per
+    # factor, so building and verifying a certificate makes no kernel
+    # call, on products with stages as on those without
+    fld = build_field(p, s)
+    calls = kernel_spy(monkeypatch)
+    staged = 0
+    for seed in range(12):
+        Q = disjoint_factorization(random_sqfree(fld, 6, 8, 1 + seed % 3, seed))
+        cert = build_regularity_certificate(Q)
+        assert verify_regularity_certificate(Q, cert)
+        staged += bool(cert.stages)
+    assert staged and calls == []
 
 
 def test_duplicate_unit_variables_rejected():
@@ -712,20 +768,33 @@ def test_stage_witness_against_naive_localization():
     assert (1, 1, 0, 1) in kept
 
 
+def _localized_first(power, v, inverted):
+    """First monomial, in canonical order, of x_v * power under the bracket
+    (x_i^p) localized at inverted, or None; power is the unreduced
+    f^(p-1), and a monomial past the bracket stays past it times x_v."""
+    q = power.field.p
+    shifted = (w[:v] + (w[v] + 1,) + w[v + 1:] for w in power.terms)
+    kept = [w for w in shifted if all(k < q for i, k in enumerate(w) if i not in inverted)]
+    return min(kept, key=canon_key) if kept else None
+
+
 @pytest.mark.parametrize(
-    "p, s, n_max, cases",
-    [(2, 1, 4, 60), (3, 1, 4, 40), (2, 2, 3, 40), (3, 2, 3, 20), (5, 1, 3, 20)],
-    ids=["F2", "F3", "F4", "F9", "F5"],
+    "p, s, n_max, cases, products",
+    [(2, 1, 4, 60, 40), (3, 1, 4, 40, 40), (2, 2, 3, 40, 30), (3, 2, 3, 20, 15),
+     (5, 1, 3, 20, 30), (7, 1, 3, 30, 20)],
+    ids=["F2", "F3", "F4", "F9", "F5", "F7"],
 )
-def test_stage_lemma_against_localized_oracle(p, s, n_max, cases):
+def test_stage_lemma_against_localized_oracle(p, s, n_max, cases, products):
     # x_v * f^(q-1) under the bracket localized at S (the oracle keeps
     # inverted exponents) survives iff x_v does not divide f, and equals the
     # plain kernel's product, so certificate stages need neither e >= 2 nor
-    # a localized kernel
+    # a localized kernel; at e = 1 its first monomial is the closed-form
+    # stage witness, on one factor and on random_sqfree products of 2-3
+    # factors, for every variable of every factor
     fld = build_field(p, s)
     rng = random.Random(100 * p + s)
     outcomes = set()
-    for e in (1, 2):
+    for e in (1, 2)[: 2 if p < 7 else 1]:
         q = p**e
         for _ in range(cases):
             n = rng.randint(1, n_max)
@@ -747,6 +816,21 @@ def test_stage_lemma_against_localized_oracle(p, s, n_max, cases):
             })
             if e == 1:
                 first = None if local.is_zero() else local.least_monomial()
-                assert fsing.frobenius._stage_witness(f, v) == first
+                assert fsing.frobenius._stage_witness(f, [], v) == first
             outcomes.add(divides)
     assert outcomes == {True, False}
+    stages = 0
+    for seed in range(products):
+        n = rng.randint(2, 6)
+        f = random_sqfree(fld, n, 8, rng.randint(2, min(3, n)), seed)
+        Q = disjoint_factorization(f)
+        # every variable inverted: the oracle's full, unreduced f^(p-1)
+        power = naive_kernel(f, 1, frozenset(range(n)))
+        for j, g in enumerate(Q.factors):
+            others = Q.factors[:j] + Q.factors[j + 1:]
+            for v in sorted(g.vars_used()):
+                inverted = frozenset(i for i in range(n) if i != v and rng.random() < 0.4)
+                witness = fsing.frobenius._stage_witness(g, others, v)
+                assert witness == _localized_first(power, v, inverted)
+                stages += witness is not None
+    assert stages

@@ -271,6 +271,17 @@ def test_check_sample_pass():
     assert [d["num"] for d in rec["lambda"]] == [2, 2]
 
 
+def test_check_sample_reduces_one_power(monkeypatch):
+    # the witness, the certificate and their replays build no power; the
+    # threshold crosscheck reduces f^(p-1) once
+    calls = kernel_spy(monkeypatch)
+    ctx = VarCtx(("x", "y", "z", "w"))
+    f = mk(F3, ctx, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1})
+    rec = check_sqfree_sample(f, t_planted=1)
+    assert rec["ok"] and rec["stages"] == 1 and rec["origin_on_variety"]
+    assert calls == [(f, 1)]
+
+
 def test_check_sample_detects_planted_mismatch():
     ctx = VarCtx(("x", "y", "z", "w"))
     f = mk(F2, ctx, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1})
@@ -826,6 +837,39 @@ def test_cli_fsplit_at_the_largest_prime(monkeypatch, capsys):
     assert main(["check", "fsplit-quadric65521.poly", "--tests", "fsplit"]) == 0
     entry = json.loads(capsys.readouterr().out)["results"]["polys"][0]
     assert entry["fsplit"] == {"e": 1, "q": 65521, "witness": "x1^65520*x2^65520"}
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("cert-quadric1009", ["check", "cert-quadric1009.poly", "--tests", "certificate"]),
+        ("modify257", ["modify", "modify257.poly", "--g", "g", "--h", "h"]),
+    ],
+    ids=["cert-quadric1009", "modify257"],
+)
+def test_cli_certificate_reports_pinned(monkeypatch, capsys, name, argv):
+    # tests/pinned/NAME.json holds the report taken while every stage
+    # witness and its replay reduced f^(p-1) of the active product; the
+    # closed-form witnesses and their per-factor replay must reproduce it
+    # byte for byte, without a kernel call
+    calls = kernel_spy(monkeypatch)
+    monkeypatch.chdir(PINNED)
+    assert main(argv) == 0
+    with open(f"{name}.json", encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
+    assert calls == []
+
+
+def test_cli_certificate_at_the_largest_prime(monkeypatch, capsys):
+    # the stage witness and its replay build no power, so the certificate
+    # at p = 65521 needs no kernel call either
+    calls = kernel_spy(monkeypatch)
+    monkeypatch.chdir(PINNED)
+    assert main(["check", "fsplit-quadric65521.poly", "--tests", "certificate"]) == 0
+    cert = json.loads(capsys.readouterr().out)["results"]["polys"][0]["certificate"]
+    assert cert["verified"] is True
+    assert [st["witness"] for st in cert["stages"]] == ["x1^65520*x2^65520*x4"]
     assert calls == []
 
 

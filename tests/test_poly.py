@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import fsing.poly
 from conftest import mk, naive_kernel
 from fsing import (
     Poly,
@@ -408,6 +409,34 @@ def test_power_coefficient_edge_cases():
         power_coefficient(f, -1, (0, 0))
     with pytest.raises(ContextMismatchError):
         power_coefficient(f, 1, (1, 0, 0))
+
+
+def test_power_coefficient_fixes_a_multiplicity_per_coordinate(monkeypatch):
+    # the certificate stage x1*x2*x3^65519*x4^65519 of x1*x2 + x3*x4 + x1*x3
+    # at p = 65521: only x1*x2 carries x2 and only x3*x4 carries x4, so each
+    # multiplicity is fixed by one coordinate although the two terms share
+    # their degree, and the walk takes a few steps, not one per k_t
+    F = build_field(65521)
+    ctx = VarCtx(("x1", "x2", "x3", "x4"))
+    g = mk(F, ctx, {(1, 1, 0, 0): 2, (0, 0, 1, 1): 3, (1, 0, 1, 0): 1})
+    walk = fsing.poly._compositions
+    steps = []
+
+    def recording(terms, k, u):
+        steps.append(k)
+        return walk(terms, k, u)
+
+    monkeypatch.setattr(fsing.poly, "_compositions", recording)
+    k = 65520
+    # one composition: x1*x2 once, x3*x4 k - 1 times, multinomial k = -1
+    expected = F.mul(F.scalar(k), F.mul(F.scalar(2), F.pow(F.scalar(3), k - 1)))
+    assert power_coefficient(g, k, (1, 1, k - 1, k - 1)) == expected != F.zero
+    assert len(steps) <= 4
+    # x1*x3 cannot take part (x1 and x3 are spent elsewhere), and a
+    # vector off every composition reads 0 with as few steps
+    steps.clear()
+    assert power_coefficient(g, k, (2, 1, k - 2, k - 1)) == F.zero
+    assert len(steps) <= 4
 
 
 def test_embed():
