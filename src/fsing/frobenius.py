@@ -101,7 +101,6 @@ way, and rule 2 predicts its least degree to be (p-1)d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from operator import add, mul
 
@@ -117,52 +116,61 @@ from .poly import (
     frobenius_q,
     power_coefficient,
 )
+from .record import FrozenRecord, Record
 from .structure import CIdeal, is_squarefree_supported
 
+_set = object.__setattr__  # writes a field of a frozen record in its __init__
 
-@dataclass(frozen=True)
-class SplitWitness:
+
+class SplitWitness(FrozenRecord):
     """Monomial surviving the reduced Frobenius power at level e."""
 
-    e: int
-    q: int
-    witness: tuple
+    __slots__ = ("e", "q", "witness")
 
-    def __post_init__(self):
-        if not all(0 <= v <= self.q - 1 for v in self.witness):
+    def __init__(self, e: int, q: int, witness: tuple):
+        if not all(0 <= v <= q - 1 for v in witness):
             raise TheoremContradictionError(
                 "split witness has an exponent outside 0..q-1",
-                dump={"e": self.e, "q": self.q, "witness": list(self.witness)},
+                dump={"e": e, "q": q, "witness": list(witness)},
             )
+        _set(self, "e", e)
+        _set(self, "q", q)
+        _set(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class RegStage:
+class RegStage(FrozenRecord):
     """One localization step of a regularity certificate."""
 
-    inverted_var: int
-    e: int
-    multiplier: tuple
-    witness: tuple
+    __slots__ = ("inverted_var", "e", "multiplier", "witness")
+
+    def __init__(self, inverted_var: int, e: int, multiplier: tuple, witness: tuple):
+        _set(self, "inverted_var", inverted_var)
+        _set(self, "e", e)
+        _set(self, "multiplier", multiplier)
+        _set(self, "witness", witness)
 
 
-@dataclass
-class RegCertificate:
-    """Chain of localization stages plus base-case unit monomials."""
+class RegCertificate(Record):
+    """Chain of localization stages plus base-case unit monomials; base
+    holds (factor index, unit monomial) pairs."""
 
-    stages: list
-    base: list  # (factor index, unit monomial) pairs
-    notes: list = dc_field(default_factory=list)
+    __slots__ = ("stages", "base", "notes")
+
+    def __init__(self, stages: list, base: list, notes: list | None = None):
+        self.stages, self.base = stages, base
+        self.notes = [] if notes is None else notes
 
 
-@dataclass(frozen=True)
-class FptSample:
+class FptSample(FrozenRecord):
     """One oracle sample of the F-pure threshold at q = p^e."""
 
-    e: int
-    q: int
-    b: int
-    lam: Fraction
+    __slots__ = ("e", "q", "b", "lam")
+
+    def __init__(self, e: int, q: int, b: int, lam: Fraction):
+        _set(self, "e", e)
+        _set(self, "q", q)
+        _set(self, "b", b)
+        _set(self, "lam", lam)
 
 
 def _least_survivors(f: Poly, e_list, initial=None):

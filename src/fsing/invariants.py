@@ -46,7 +46,6 @@ in grid order meets first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 
@@ -54,24 +53,24 @@ from .errors import PointNotOnVarietyError
 from .field import MAX_DEGREE, level_field
 from .frobenius import _digit_samples, _threshold_samples
 from .poly import Poly
+from .record import Record
 from .structure import CIdeal
 
 SEARCH_BUDGET = 10**7
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(Record):
     """Numerical invariants measured at one rational point."""
 
-    point: tuple
-    ord: int
-    mult: int
-    dim: int
-    dfpt: int
-    fpt: Fraction
-    t: int
-    exact: bool | None = None
-    budget_exceeded: bool = False
+    __slots__ = ("point", "ord", "mult", "dim", "dfpt", "fpt", "t", "exact",
+                 "budget_exceeded")
+
+    def __init__(self, point: tuple, ord: int, mult: int, dim: int, dfpt: int,
+                 fpt: Fraction, t: int, exact: bool | None = None,
+                 budget_exceeded: bool = False):
+        self.point, self.ord, self.mult = point, ord, mult
+        self.dim, self.dfpt, self.fpt = dim, dfpt, fpt
+        self.t, self.exact, self.budget_exceeded = t, exact, budget_exceeded
 
 
 def dfpt_at(Q: CIdeal, point) -> InvariantReport:

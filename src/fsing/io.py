@@ -23,7 +23,6 @@ A .matroid file lists bases of a matroid on 1..n:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     BadFieldSpecError,
@@ -33,16 +32,19 @@ from .errors import (
 )
 from .field import MAX_CHAR, Field, build_field, is_prime
 from .poly import Poly, VarCtx
+from .record import Record
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[*^+\-:]))")
 
 
-@dataclass
-class ParsedFile:
-    field: Field
-    varctx: VarCtx
-    polys: dict  # name -> Poly, insertion ordered
-    source: str
+class ParsedFile(Record):
+    """A parsed .poly file; polys maps each name to its Poly, in file order."""
+
+    __slots__ = ("field", "varctx", "polys", "source")
+
+    def __init__(self, field: Field, varctx: VarCtx, polys: dict, source: str):
+        self.field, self.varctx = field, varctx
+        self.polys, self.source = polys, source
 
 
 def _tokenize(line: str, lineno: int):
@@ -238,10 +240,14 @@ def parse_poly_file(path: str) -> ParsedFile:
 # matroids
 # --------------------------------------------------------------------------
 
-@dataclass
-class MatroidInput:
-    n: int
-    bases: list  # sorted tuples of 1-based indices, lex ordered
+class MatroidInput(Record):
+    """A parsed .matroid file; bases are sorted tuples of 1-based indices,
+    in lexicographic order."""
+
+    __slots__ = ("n", "bases")
+
+    def __init__(self, n: int, bases: list):
+        self.n, self.bases = n, bases
 
 
 def parse_matroid_source(text: str) -> MatroidInput:

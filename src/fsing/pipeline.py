@@ -11,7 +11,6 @@ removals (drop a term, or set a variable to one) before being reported.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from .errors import (
@@ -30,6 +29,7 @@ from .frobenius import (
 )
 from .invariants import dfpt_at, fpt_crosscheck, hypersurface_point_checks
 from .poly import Poly, VarCtx, exact_divide
+from .record import Record
 from .structure import (
     disjoint_factorization,
     is_irreducible_sqfree,
@@ -197,15 +197,19 @@ def minimize_failure(f: Poly) -> Poly:
 # theorem suite
 # --------------------------------------------------------------------------
 
-@dataclass
-class SuiteConfig:
-    p_list: tuple = (2, 3, 5)
-    n: int = 8
-    max_terms: int = 8
-    max_factors: int = 3
-    count: int = 200
-    seed: int = 0
-    extra_inputs: tuple = ()  # Poly instances validated before use
+class SuiteConfig(Record):
+    """Parameters of the randomized suite; extra_inputs holds Poly instances,
+    validated before use."""
+
+    __slots__ = ("p_list", "n", "max_terms", "max_factors", "count", "seed",
+                 "extra_inputs")
+
+    def __init__(self, p_list: tuple = (2, 3, 5), n: int = 8, max_terms: int = 8,
+                 max_factors: int = 3, count: int = 200, seed: int = 0,
+                 extra_inputs: tuple = ()):
+        self.p_list, self.n, self.max_terms = p_list, n, max_terms
+        self.max_factors, self.count, self.seed = max_factors, count, seed
+        self.extra_inputs = extra_inputs
 
     def as_dict(self):
         return {
@@ -286,18 +290,19 @@ def theorem_suite(config: SuiteConfig):
 # modification construction
 # --------------------------------------------------------------------------
 
-@dataclass
-class ModificationResult:
-    f: Poly
-    ftilde: Poly
-    transformed: Poly
-    witness: object
-    certificate: object
-    verified: bool
-    dfpt: int
-    max_mult: int
-    point_checks: list = dc_field(default_factory=list)
-    budget_exceeded: bool = False
+class ModificationResult(Record):
+    """What modification_build made and checked."""
+
+    __slots__ = ("f", "ftilde", "transformed", "witness", "certificate", "verified",
+                 "dfpt", "max_mult", "point_checks", "budget_exceeded")
+
+    def __init__(self, f: Poly, ftilde: Poly, transformed: Poly, witness, certificate,
+                 verified: bool, dfpt: int, max_mult: int, point_checks: list | None = None,
+                 budget_exceeded: bool = False):
+        self.f, self.ftilde, self.transformed = f, ftilde, transformed
+        self.witness, self.certificate, self.verified = witness, certificate, verified
+        self.dfpt, self.max_mult, self.budget_exceeded = dfpt, max_mult, budget_exceeded
+        self.point_checks = [] if point_checks is None else point_checks
 
 
 def _fresh_name(base: str, taken):

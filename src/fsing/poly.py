@@ -406,7 +406,8 @@ class Poly:
         """Reinterpret the polynomial over an extension big of its field.
 
         t of F_{p^k} goes to the first root of its modulus in big's
-        encoding order (:func:`fsing.field.embedding_basis`).
+        encoding order (:func:`fsing.field.embedding_basis`).  Each distinct
+        coefficient is mapped once.
         """
         small = self.field
         if big == small:
@@ -414,10 +415,11 @@ class Poly:
         if big.p != small.p or big.s % small.s:
             raise ContextMismatchError(f"{big!r} is not an extension of {small!r}")
         basis = embedding_basis(small, big)
-        return Poly(big, self.vars, {
-            e: reduce(big.add, map(big.mul, map(big.scalar, c), basis))
-            for e, c in self.terms.items()
-        })
+        image = {
+            c: reduce(big.add, map(big.mul, map(big.scalar, c), basis))
+            for c in set(self.terms.values())
+        }
+        return Poly(big, self.vars, {e: image[c] for e, c in self.terms.items()})
 
     # -- formatting --------------------------------------------------------
 

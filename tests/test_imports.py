@@ -1,5 +1,6 @@
 """Every name a package module imports or defines is used in the package,
-and the package exports exactly what its ``__init__.py`` imports.
+the package exports exactly what its ``__init__.py`` imports, and the CLI
+starts without the standard library's code-generation modules.
 
 Two stdlib-only lints over the ``src/fsing/*.py`` modules except
 ``__init__.py`` (whose imports are its exports):
@@ -10,9 +11,14 @@ Two stdlib-only lints over the ``src/fsing/*.py`` modules except
   module outside its own definition, and every method of a package class
   other than a dunder must be read as an attribute there, unless
   ``PUBLIC`` lists it with the reason it stays.
+
+A cold-import check runs ``import fsing.cli`` in a fresh ``python -I -S``
+and lists the modules it loaded.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -28,6 +34,12 @@ PUBLIC = {
     "make": "Poly from a mapping with coefficients checked; perfbench/workloads.py"
     " builds the suite inputs with it",
 }
+
+
+# Modules a cold CLI start must not load: dataclasses pulls in the next
+# four, and on its own costs about as much as the rest of the CLI import;
+# typing costs about two thirds of that.
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
 
 
 def _imported_names(tree):
@@ -66,6 +78,16 @@ def test_all_lists_exactly_the_imports():
 
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     assert sorted(fsing.__all__) == sorted([*_imported_names(tree), "__version__"])
+
+
+def test_cold_cli_import_loads_no_code_generator():
+    probe = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import fsing.cli; "
+        f"print(sorted(set({HEAVY!r}) & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]", f"import fsing.cli loads {done.stdout.strip()}"
 
 
 def test_modules_found():

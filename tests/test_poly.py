@@ -10,12 +10,14 @@ import pytest
 import fsing.poly
 from conftest import mk, naive_kernel
 from fsing import (
+    Field,
     Poly,
     VarCtx,
     build_field,
     exact_divide,
     frobenius_power_mod_bracket,
 )
+from fsing.field import embedding_basis
 from fsing.poly import lucas_multinomial, power_coefficient
 from fsing.errors import (
     ContextMismatchError,
@@ -471,6 +473,33 @@ def test_embed_extension_field_respects_products():
         assert (f * g).embed(F16) == f.embed(F16) * g.embed(F16)
     with pytest.raises(ContextMismatchError):
         Poly.constant(F4, XY, 1).embed(build_field(2, 3))
+
+
+@pytest.mark.parametrize("p, k, s", [(2, 1, 2), (3, 1, 2), (2, 2, 4)])
+def test_embed_matches_the_basis_formula_term_by_term(p, k, s):
+    # the image of c is sum_i c_i * basis_i, whether or not c repeats
+    small, big = build_field(p, k), build_field(p, s)
+    basis = embedding_basis(small, big)
+    rng = random.Random(p * 100 + s)
+    for _ in range(10):
+        f = random_poly(small, XYZW, rng, max_terms=8)
+        g = f.embed(big)
+        assert g.field == big and set(g.terms) == set(f.terms)
+        for e, c in f.terms.items():
+            expected = big.zero
+            for ci, b in zip(c, basis):
+                expected = big.add(expected, big.mul(big.scalar(ci), b))
+            assert g.terms[e] == expected
+
+
+def test_embed_maps_each_distinct_coefficient_once(monkeypatch):
+    F4 = build_field(2, 2)
+    muls = []
+    mul = Field.mul
+    monkeypatch.setattr(Field, "mul", lambda self, a, b: muls.append(a) or mul(self, a, b))
+    f = mk(F2, XYZW, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (1, 1, 1, 1): 1})
+    assert f.embed(F4).terms == {e: F4.one for e in f.terms}
+    assert len(muls) == 1
 
 
 def test_vars_used_and_degree_in():
