@@ -85,21 +85,17 @@ replay (:func:`_verify_explain`) shares nothing with this formula: it
 checks that the witness minus x_v survives in f^(p-1) by
 :func:`_survives`, the per-factor coefficient test of the split replay.
 
-The digit lemma serves only the threshold crosscheck
-(:func:`fsing.invariants.fpt_crosscheck`), which measures what rule 2
-states.  In characteristic p, f^(q-1) = prod_{i<e} (f^(p-1))^(p^i), and
-the i-th factor is f^(p-1) with exponents scaled by p^i.  When f is
-square-free supported every exponent of f^(p-1) is at most p-1, so each
-product monomial sum_i p^i a_i (a_i in supp f^(p-1)) is a base-p
-expansion: distinct digit tuples give distinct monomials, nothing
-cancels, and no exponent reaches q.  Hence supp f^(q-1) is the digit
-product of e copies of supp f^(p-1), and its least total degree is
-(q-1)/(p-1) times the least total degree on supp f^(p-1).
-:func:`_digit_samples` reads every sample off one f^(p-1) that way,
-built without the bracket, which by the stage lemma (a) drops nothing
-from it, and rule 2 predicts its least degree to be (p-1)d.  So the
-kernel runs only in rules 3 and 4, on input that is not square-free
-supported.
+The threshold crosscheck (:func:`fsing.invariants.fpt_crosscheck`)
+checks rule 2's samples by the degree bound.  A sample depends on the
+least survivor w only through its degree, b = n(q-1) - |w|, and no
+monomial of f^(q-1) has degree below (q-1)d.  So a survivor of degree
+(q-1)d fixes b exactly, whichever monomial of that degree it is.  The
+crosscheck replays the least survivor at q = p^e on the factors with
+:func:`_survives`, which builds no power and shares nothing with rule 2,
+and compares the sample with n - d for the order d of the origin
+report, which shares nothing with either.  So on square-free supported
+input no power is built: the kernel runs only in rules 3 and 4, on
+input that is not square-free supported.
 """
 
 from __future__ import annotations
@@ -177,8 +173,9 @@ class FptSample(FrozenRecord):
 
 
 def _least_survivors(f: Poly, e_list, initial=None):
-    """Yield, for each e in e_list, the least survivor of f^(p^e - 1): its
-    least monomial in canonical order outside (x_i^(p^e)), or None.
+    """Yield (e, w) for each e in e_list: w is the least survivor of
+    f^(p^e - 1), its least monomial in canonical order outside
+    (x_i^(p^e)), or None.
 
     The four rules in the module docstring decide, in turn: the degree
     bound, the closed form, the reduced in(f)^(q-1), the reduced f^(q-1).
@@ -195,16 +192,17 @@ def _least_survivors(f: Poly, e_list, initial=None):
     for e in e_list:
         q = frobenius_q(f.field, e)
         if sum(least) > f.vars.n:
-            yield None
+            w = None
         elif closed:
-            yield tuple((q - 1) * v for v in least)
+            w = tuple((q - 1) * v for v in least)
         else:
             reduced = frobenius_power_mod_bracket(initial, e)
             if reduced.terms:
-                yield max(reduced.terms)  # homogeneous like in(f)
+                w = max(reduced.terms)  # homogeneous like in(f)
             else:
                 reduced = frobenius_power_mod_bracket(f, e)
-                yield reduced.least_monomial() if reduced.terms else None
+                w = reduced.least_monomial() if reduced.terms else None
+        yield e, w
 
 
 def fsplit_witness(f: Poly):
@@ -214,7 +212,7 @@ def fsplit_witness(f: Poly):
     the bracket ideal (x_i^p : all i), by the rules of the module
     docstring.
     """
-    w = next(_least_survivors(f, (1,)))
+    _, w = next(_least_survivors(f, (1,)))
     return None if w is None else SplitWitness(1, f.field.p, w)
 
 
@@ -251,6 +249,15 @@ def verify_split_witness(Q: CIdeal, w: SplitWitness) -> bool:
     return _survives(Q.factors, frobenius_q(Q.field, w.e), w.witness)
 
 
+def _replay_failure(message: str, Q: CIdeal, e: int, **extra):
+    """The TheoremContradictionError of a replay on Q's factors at q = p^e
+    that rejected what the theory guarantees; its dump holds e, q, the
+    product, the factors and the extra entries."""
+    dump = {"e": e, "q": Q.field.p**e, "poly": str(Q.product()),
+            "factors": [str(g) for g in Q.factors], **extra}
+    return TheoremContradictionError(message, dump=dump)
+
+
 def split_witness(Q: CIdeal) -> SplitWitness:
     """The splitting witness of Q's product, replayed on the reduced power.
 
@@ -258,18 +265,9 @@ def split_witness(Q: CIdeal) -> SplitWitness:
     witness survives the reduction, so a missing or rejected witness
     raises TheoremContradictionError with the product and its factors.
     """
-    product = Q.product()
-    w = fsplit_witness(product)
+    w = fsplit_witness(Q.product())
     if w is None or not verify_split_witness(Q, w):
-        raise TheoremContradictionError(
-            "square-free supported input failed the splitting test",
-            dump={
-                "e": 1,
-                "q": Q.field.p,
-                "poly": str(product),
-                "factors": [str(g) for g in Q.factors],
-            },
-        )
+        raise _replay_failure("square-free supported input failed the splitting test", Q, 1)
     return w
 
 
@@ -442,20 +440,21 @@ def verify_regularity_certificate(Q: CIdeal, cert: RegCertificate) -> bool:
 # F-pure threshold oracle
 # --------------------------------------------------------------------------
 
+def _survivor_sample(n: int, e: int, q: int, w) -> FptSample:
+    """The threshold sample at q = p^e off a least survivor w of an
+    n-variable f^(q-1): b = n(q-1) - |w| (the module docstring)."""
+    b = n * (q - 1) - sum(w)
+    return FptSample(e, q, b, Fraction(b, q - 1))
+
+
 def _threshold_samples(f: Poly, e_list, initial=None):
     """Yield the threshold sample of f at each e in e_list, None when unsplit.
 
-    b = n(q-1) - |w| for the least survivor w (:func:`_least_survivors`,
-    whose initial argument this passes on).
+    The sample is :func:`_survivor_sample` of the least survivor
+    (:func:`_least_survivors`, whose initial argument this passes on).
     """
-    n = f.vars.n
-    for e, w in zip(e_list, _least_survivors(f, e_list, initial)):
-        if w is None:
-            yield None
-            continue
-        q = f.field.p**e
-        b = n * (q - 1) - sum(w)
-        yield FptSample(e, q, b, Fraction(b, q - 1))
+    for e, w in _least_survivors(f, e_list, initial):
+        yield None if w is None else _survivor_sample(f.vars.n, e, f.field.p**e, w)
 
 
 def fpt_sample_poly(f: Poly, e: int):
@@ -468,22 +467,3 @@ def fpt_sample_poly(f: Poly, e: int):
     b = (n - d)(q - 1) at every e without reducing any power.
     """
     return next(_threshold_samples(f, (e,)))
-
-
-def _digit_samples(f: Poly, e_list):
-    """Threshold samples of square-free supported f measured on f^(p-1):
-    b = n(q-1) - (q-1)/(p-1) * min |a| over supp f^(p-1) (the digit lemma
-    in the module docstring).
-
-    Every exponent of f^(p-1) is at most p-1 (the stage lemma), so no
-    term reaches the bracket and the plain power is the reduced one; the
-    reduction matters only for input that is not square-free supported.
-    """
-    fld, n = f.field, f.vars.n
-    low = min(sum(a) for a in (f ** (fld.p - 1)).terms)
-    samples = []
-    for e in e_list:
-        q = frobenius_q(fld, e)
-        b = n * (q - 1) - (q - 1) // (fld.p - 1) * low
-        samples.append(FptSample(e, q, b, Fraction(b, q - 1)))
-    return samples

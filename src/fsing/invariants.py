@@ -51,7 +51,8 @@ from itertools import islice, product
 
 from .errors import PointNotOnVarietyError
 from .field import MAX_DEGREE, level_field
-from .frobenius import _digit_samples, _threshold_samples
+from .frobenius import _least_survivors, _replay_failure, _survives
+from .frobenius import _survivor_sample, _threshold_samples
 from .poly import Poly
 from .record import Record
 from .structure import CIdeal
@@ -558,22 +559,26 @@ def fpt_crosscheck(Q: CIdeal, rep: InvariantReport, e_list):
     with exact rational discrepancies lam(e) - (n - rep.mult); the closed
     form predicts zero.
 
-    The samples are measured, not derived from the order: every one is
-    read off one f^(p-1) of f = Q.product() by the digit lemma
-    (:func:`fsing.frobenius._digit_samples`), which holds because Q is
-    square-free supported.  So the e = 1 sample is independent evidence
-    for n - mult, and the e >= 2 samples are a consistency check of it.
-    The independent check of the e >= 2 powers is the full-expansion
-    oracle ``naive_kernel`` in the tests.  On square-free supported input
-    this f^(p-1) is the only power the package builds, and it takes no
-    bracket, which drops nothing from it (the stage lemma): splitting
-    witnesses, certificate stages and both replays read the factors'
-    terms instead, and the Frobenius kernel never runs.
+    Each sample is read off the least survivor w of f^(q-1), f =
+    Q.product(), from :func:`fsing.frobenius._least_survivors`, which on
+    square-free supported input is rule 2's closed form.  w is replayed
+    at q = p^e on the factors by :func:`fsing.frobenius._survives`, which
+    builds no power and shares nothing with rule 2.  No monomial of
+    f^(q-1) has degree below (q-1)*rep.mult (the degree bound in
+    :mod:`fsing.frobenius`), so a replayed w with a zero discrepancy
+    proves its sample exactly.  A missing or rejected w raises
+    TheoremContradictionError with the product, its factors and w.  No
+    power is built here, and the Frobenius kernel never runs.
     """
     if any(a != Q.field.zero for a in rep.point):
         raise ValueError("the crosscheck needs the invariant report at the origin")
-    expected = Fraction(Q.vars.n - rep.mult)
-    return [
-        (sample, sample.lam - expected)
-        for sample in _digit_samples(Q.product(), e_list)
-    ]
+    n = Q.vars.n
+    out = []
+    for e, w in _least_survivors(Q.product(), e_list):
+        q = Q.field.p**e
+        if w is None or not _survives(Q.factors, q, w):
+            raise _replay_failure("threshold sample's least survivor failed its replay",
+                                  Q, e, witness=None if w is None else list(w))
+        sample = _survivor_sample(n, e, q, w)
+        out.append((sample, sample.lam - (n - rep.mult)))
+    return out

@@ -153,7 +153,10 @@ def check_sqfree_sample(f: Poly, t_planted=None) -> dict:
         return rec
     rec["origin_on_variety"] = True
     rec["dfpt"] = rep.dfpt
-    cc = fpt_crosscheck(Q, rep, (1, 2))
+    try:
+        cc = fpt_crosscheck(Q, rep, (1, 2))
+    except TheoremContradictionError:
+        return fail("threshold sample's least survivor failed its replay")
     rec["lambda"] = [
         {"e": s.e, "num": s.lam.numerator, "den": s.lam.denominator} for s, _ in cc
     ]

@@ -351,12 +351,15 @@ class Poly:
         Each variable's expansion rows, the coefficients binom(k, j) *
         a_i^(k-j) of x_i^j in (x_i + a_i)^k, are built once per call; a
         term's expansion has distinct monomials, so only terms are merged.
+        The origin moves no variable and returns the polynomial itself.
         """
         fld = self.field
         if len(point) != self.vars.n:
             raise ContextMismatchError("point arity does not match variable context")
         mul, add, zero, one, p = fld.mul, fld.add, fld.zero, fld.one, fld.p
         moved = [i for i, a in enumerate(point) if a != zero]
+        if not moved:
+            return self
         rows = {}  # (i, k) -> [(j, coefficient of x_i^j)], binom(k, j) != 0 mod p
 
         def expansion_row(i, k):

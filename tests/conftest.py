@@ -53,6 +53,18 @@ def kernel_spy(monkeypatch):
     return calls
 
 
+def pow_spy(monkeypatch):
+    """Record the exponent of every Poly.__pow__ call; returns the list."""
+    power, powers = Poly.__pow__, []
+
+    def recording(f, k):
+        powers.append(k)
+        return power(f, k)
+
+    monkeypatch.setattr(Poly, "__pow__", recording)
+    return powers
+
+
 def naive_kernel(f, e, inverted=frozenset()):
     """f^(p^e - 1) with monomials dropped once any un-inverted exponent
     reaches p^e, computed by full expansion first."""

@@ -10,7 +10,7 @@ import pytest
 
 import fsing.frobenius
 
-from conftest import kernel_spy, mk, naive_kernel, random_modified
+from conftest import kernel_spy, mk, naive_kernel, pow_spy, random_modified
 from fsing import (
     CIdeal,
     FptSample,
@@ -452,8 +452,8 @@ def _random_sqfree_poly(fld, n, rng):
 )
 def test_fpt_sample_digit_path_matches_full_expansion(p, s, n_max, e):
     # square-free f: supp f^(q-1) is the digit product of e copies of
-    # supp f^(p-1), so the sample read off f^(p-1) must equal the one
-    # taken from the fully expanded power
+    # supp f^(p-1), and the closed-form sample must equal the one taken
+    # from the fully expanded power
     fld = build_field(p, s)
     rng = random.Random(1000 * p + 10 * s + e)
     for _ in range(30):
@@ -573,7 +573,7 @@ def test_least_survivors_against_naive_kernel(monkeypatch, p, s):
             naive = naive_kernel(f, e)
             expected = min(naive.terms, key=canon_key) if naive.terms else None
             calls.clear()
-            assert list(_least_survivors(f, (e,))) == [expected]
+            assert list(_least_survivors(f, (e,))) == [(e, expected)]
             if d > f.vars.n:
                 rule = "degree bound"
             elif squarefree_offender(initial) is None:
@@ -705,7 +705,7 @@ def test_point_checks_reduce_only_initial_forms(monkeypatch, name):
 
 @pytest.mark.parametrize("name", POINT_CHECK_INPUTS, ids=POINT_CHECK_INPUTS)
 def test_point_check_records_match_full_expansion(name):
-    # the closed-form records rest on the digit and initial-form lemmas;
+    # the closed-form records rest on rules 2 and 3 and the Taylor lemma;
     # recompute every checked point's samples from the shifted polynomial,
     # through the kernel with no initial form handed over and by fully
     # expanding its powers
@@ -722,22 +722,25 @@ def test_point_check_records_match_full_expansion(name):
             ]
 
 
-def test_crosscheck_builds_only_the_first_power(monkeypatch):
-    # the samples at e = 1, 2, 3 come from the one plain power f^(p-1);
-    # on square-free input it equals the reduced one, so no kernel runs
-    calls = _recording_kernel(monkeypatch)
-    power, powers = Poly.__pow__, []
-
-    def recording_pow(f, k):
-        powers.append(k)
-        return power(f, k)
-
-    monkeypatch.setattr(Poly, "__pow__", recording_pow)
+def test_crosscheck_builds_no_power(monkeypatch):
+    # the samples at e = 1, 2, 3 come from the closed-form least survivor,
+    # replayed per factor off the factors' terms: no kernel, no power
+    calls, powers = kernel_spy(monkeypatch), pow_spy(monkeypatch)
     Q = two_quadrics()
     out = fpt_crosscheck(Q, dfpt_at(Q, (F2.zero,) * Q.vars.n), (1, 2, 3))
-    assert calls == [] and powers == [F2.p - 1]
+    assert calls == [] and powers == []
     assert [sample.e for sample, _ in out] == [1, 2, 3]
     assert all(diff == 0 for _, diff in out)
+
+
+def test_threshold_samples_walk_the_levels_once():
+    # e_list may be any iterable, read once: a one-shot iterator gives
+    # the samples the tuple does, each at its own level
+    Q = two_quadrics()
+    rep = dfpt_at(Q, (F2.zero,) * Q.vars.n)
+    assert fpt_crosscheck(Q, rep, iter((1, 2, 3))) == fpt_crosscheck(Q, rep, (1, 2, 3))
+    f = Q.product()
+    assert list(_threshold_samples(f, iter((1, 2)))) == list(_threshold_samples(f, (1, 2)))
 
 
 def test_fpt_sample_exponent_range():

@@ -13,7 +13,7 @@ import fsing.cli
 import fsing.frobenius
 import fsing.invariants
 import fsing.pipeline
-from conftest import kernel_spy, mk, random_modified
+from conftest import kernel_spy, mk, pow_spy, random_modified
 from fsing import (
     CIdeal,
     Poly,
@@ -339,19 +339,18 @@ def test_check_sample_pass():
 
 
 def test_check_sample_reduces_no_power(monkeypatch):
-    # the witness, the certificate and their replays build no power; the
-    # threshold crosscheck builds f^(p-1) without the bracket, which drops
-    # nothing from it on square-free input
-    calls = kernel_spy(monkeypatch)
+    # the witness, the certificate, the threshold samples and their
+    # replays are read off the factors' terms: no kernel, no power
+    calls, powers = kernel_spy(monkeypatch), pow_spy(monkeypatch)
     ctx = VarCtx(("x", "y", "z", "w"))
     f = mk(F3, ctx, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1})
     rec = check_sqfree_sample(f, t_planted=1)
     assert rec["ok"] and rec["stages"] == 1 and rec["origin_on_variety"]
-    assert calls == []
+    assert calls == [] and powers == []
 
 
 def test_check_and_matroid_reduce_no_power(monkeypatch, tmp_path, capsys):
-    calls = kernel_spy(monkeypatch)
+    calls, powers = kernel_spy(monkeypatch), pow_spy(monkeypatch)
     poly = tmp_path / "pair.poly"
     poly.write_text("p 3\nvars a b c d x y\npoly f: a*b + c*d\npoly g: x*y + x + y\n")
     matroid = tmp_path / "u36.matroid"
@@ -359,8 +358,9 @@ def test_check_and_matroid_reduce_no_power(monkeypatch, tmp_path, capsys):
         "basis " + " ".join(map(str, b)) + "\n" for b in combinations(range(1, 7), 3)))
     assert main(["check", str(poly), "--s-max", "1"]) == 0
     assert main(["matroid", str(matroid), "--p", "3", "--s-max", "1"]) == 0
+    assert main(["fpt", str(poly), "--poly", "f", "--e-max", "4"]) == 0
     capsys.readouterr()
-    assert calls == []
+    assert calls == [] and powers == []
 
 
 def test_check_sample_detects_planted_mismatch():
@@ -655,7 +655,8 @@ def test_cli_check_off_origin_extension_field(tmp_path, capsys):
 
 def test_cli_check_quadric_beyond_kernel_exponent_range(tmp_path, capsys):
     # at p = 257 the e = 2 crosscheck sample has p^2 > 2^16; square-free
-    # input reads it off f^(p-1), so no kernel range check applies
+    # input replays its least survivor per factor, building no power, so
+    # no kernel range check applies
     path = tmp_path / "q257.poly"
     path.write_text("p 257\nvars x1 x2 x3 x4\npoly f: x1*x2 + x3*x4\n")
     assert main(["check", str(path)]) == 0
@@ -717,6 +718,34 @@ def test_cli_split_tripwire_dumps_to_stderr(tmp_path, capsys, monkeypatch):
         assert captured.out == ""
         dump = json.loads(captured.err)["dump"]
         assert dump == {"e": 1, "q": 2, "poly": "x*y + z*w", "factors": ["x*y + z*w"]}
+
+
+def _forged_survivors(f, e_list):
+    # for x*y + z*w over F_3: the least survivor's degree 2(q-1), on
+    # x^(q-1)*z^(q-1), whose coefficient in f^(q-1) is zero
+    for e in e_list:
+        yield e, (3**e - 1, 0, 3**e - 1, 0)
+
+
+def test_crosscheck_rejects_a_forged_survivor(tmp_path, capsys, monkeypatch):
+    # the crosscheck replays the survivor it reads each sample off, so a
+    # same-degree monomial that does not survive fails the sample, the
+    # check and fpt: exit 1, no report, a JSON dump on stderr
+    monkeypatch.setattr(fsing.invariants, "_least_survivors", _forged_survivors)
+    ctx = VarCtx(("x", "y", "z", "w"))
+    rec = check_sqfree_sample(mk(F3, ctx, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1}))
+    assert not rec["ok"]
+    assert rec["failure"] == "threshold sample's least survivor failed its replay"
+    path = tmp_path / "quadric.poly"
+    path.write_text("p 3\nvars x y z w\npoly f: x*y + z*w\n")
+    for argv in (["check", str(path)], ["fpt", str(path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["dump"] == {
+            "e": 1, "q": 3, "poly": "x*y + z*w", "factors": ["x*y + z*w"],
+            "witness": [2, 0, 2, 0],
+        }
 
 
 def test_cli_crosscheck_discrepancy_is_a_counterexample(poly_file, capsys, monkeypatch):
@@ -919,6 +948,27 @@ def test_cli_fsplit_at_the_largest_prime(monkeypatch, capsys):
     entry = json.loads(capsys.readouterr().out)["results"]["polys"][0]
     assert entry["fsplit"] == {"e": 1, "q": 65521, "witness": "x1^65520*x2^65520"}
     assert calls == []
+
+
+def test_cli_threshold_samples_at_the_largest_prime():
+    # x1*x2 + x3*x4 at p = 65521: fpt up to e = 64 and check with every
+    # test replay the closed-form survivors per factor, building no power,
+    # so neither waits on the size of p
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    for argv, key, e_max in (
+        (["fpt", "fsplit-quadric65521.poly", "--e-max", "64"], "samples", 64),
+        (["check", "fsplit-quadric65521.poly"], "fpt", 2),
+    ):
+        run = subprocess.run(
+            [sys.executable, "-m", "fsing.cli", *argv],
+            cwd=PINNED, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        entry = json.loads(run.stdout)["results"]["polys"][0]
+        expected = {"num": 4 - entry["invariants"]["ord"], "den": 1}
+        assert [row["e"] for row in entry[key]] == list(range(1, e_max + 1))
+        assert all(row["lambda"] == expected for row in entry[key])
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,19 @@ def test_shift_matches_substitution_expansion():
             assert f.shift(a) == expected
 
 
+def test_shift_by_the_origin_expands_nothing(monkeypatch):
+    # no variable moves, so the polynomial itself comes back and no term
+    # is expanded or merged
+    built = []
+    clean = Poly._clean
+    monkeypatch.setattr(Poly, "_clean", classmethod(
+        lambda cls, *args: built.append(args) or clean(*args)))
+    f = mk(F3, XY, {(2, 1): 1, (0, 1): 2, (0, 0): 1})
+    assert f.shift((F3.zero, F3.zero)) is f
+    assert built == []
+    assert f.shift((F3.one, F3.zero)) != f and len(built) == 1
+
+
 def test_shift_round_trip():
     rng = random.Random(11)
     ctx = VarCtx(("x", "y"))
