@@ -80,7 +80,9 @@ def _emit(report, args) -> None:
         sys.stdout.write(text)
 
 
-def _select_polys(parsed, wanted):
+def _select_polys(parsed, wanted, path):
+    if not parsed.polys:
+        raise FsingError(f"no polynomial in the input file {path}")
     if wanted is None:
         return list(parsed.polys.items())
     if wanted not in parsed.polys:
@@ -96,7 +98,7 @@ def _file_report(args, input_info, run):
     """
     parsed = parse_poly_file(args.file)
     entries, status = [], "pass"
-    for name, f in _select_polys(parsed, args.poly):
+    for name, f in _select_polys(parsed, args.poly, args.file):
         entry, st = run(parsed.field, parsed.varctx, name, f, args)
         entries.append(entry)
         if st != "pass":

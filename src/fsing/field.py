@@ -18,25 +18,28 @@ gcd(f, x^(p^k) - x) = 1.  That costs O(k log p) products modulo f,
 where trial division by every monic divisor of degree <= s/2 costs
 about p^2 divisions at s = 4.
 
-Elements stay tuples throughout.  Arithmetic takes one of three paths,
-fixed by the field at construction:
+Elements stay tuples throughout.  add, mul and pow take one of three
+paths, fixed by the field at construction:
 
 - Extensions with s > 1 and p^s <= 2^16 fill log/antilog tables over the
   powers of a fixed generator g at construction, by multiplying out
-  polynomials modulo the modulus.  mul, pow and inv add, scale or negate
-  logarithms.  add uses the Zech logarithm Z(k) = log(1 + g^k): for
-  nonzero a and b, a + b = a * (1 + b/a), so log(a + b) = log a +
-  Z(log b - log a), with no Z where 1 + g^k = 0, that is b = -a.  neg
-  adds log(-1), which is (q-1)/2 for odd p and 0 for p = 2, and sub adds
-  -b.  Each operation looks its operands up in the logarithm table, so
-  a tuple that is not a reduced element of the field (a foreign arity,
-  an unreduced or negative residue) raises FieldMismatchError.
+  polynomials modulo the modulus.  mul and pow add or scale logarithms.
+  add uses the Zech logarithm Z(k) = log(1 + g^k): for nonzero a and b,
+  a + b = a * (1 + b/a), so log(a + b) = log a + Z(log b - log a), with
+  no Z where 1 + g^k = 0, that is b = -a.  Each operation looks its
+  operands up in the logarithm table, so a tuple that is not a reduced
+  element of the field (a foreign arity, an unreduced or negative
+  residue) raises FieldMismatchError.
 - Prime fields use direct modular arithmetic on the single residue.  They
   build no tables, which at p = 65521 would take about 0.3 s and 10 MB
   for what one modular operation already does, and they check the arity
   only.
 - Extensions past 2^16, such as F_{257^2}, keep coordinate-wise addition
   and polynomial multiplication per call.  They check the arity only.
+
+The other operations are written once, over those three: neg(a) is
+a * (-1), sub(a, b) is a + neg(b), and inv(a) is a^(-1), so each
+validates its operands through the primitive it calls.
 """
 
 from __future__ import annotations
@@ -52,14 +55,8 @@ _FOREIGN = "scalar does not belong to this field"
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    # the least prime divisor of n >= 2 comes first
+    return n >= 2 and next(_prime_divisors(n)) == n
 
 
 def _prime_divisors(n: int):
@@ -85,26 +82,25 @@ def _utrim(a):
 
 
 def _uremainder(a, b, p):
-    """Remainder of a modulo b; b must be monic."""
-    r = list(a)
-    _utrim(r)
+    """Remainder of a modulo b, trimmed; b must be monic.  Each step, from
+    the top degree down, clears one coefficient of a."""
+    r = [c % p for c in a]
     db = len(b) - 1
-    while len(r) - 1 >= db and r:
-        shift = len(r) - 1 - db
-        c = r[-1]
-        for i in range(db + 1):
-            r[shift + i] = (r[shift + i] - c * b[i]) % p
-        _utrim(r)
-    return r
+    for shift in range(len(r) - 1 - db, -1, -1):
+        c = r[shift + db]
+        if c:
+            for i in range(db + 1):
+                r[shift + i] = (r[shift + i] - c * b[i]) % p
+    return _utrim(r[:db])
 
 
 def _umulmod(a, b, f, p):
     """a * b modulo the monic f."""
-    prod = [0] * (len(a) + len(b))
+    prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             prod[i + j] += x * y
-    return _uremainder([c % p for c in prod], f, p)
+    return _uremainder(prod, f, p)
 
 
 def _is_irreducible(coeffs, p):
@@ -193,7 +189,7 @@ class Field:
 
     __slots__ = (
         "p", "s", "order", "modulus", "zero", "one",
-        "_reduction", "_exp", "_log", "_zech", "_log_neg_one",
+        "_neg_one", "_exp", "_log", "_zech",
     )
 
     def __init__(self, p: int, s: int = 1):
@@ -209,24 +205,10 @@ class Field:
         self.modulus = None if s == 1 else _smallest_irreducible(p, s)
         self.zero = (0,) * s
         self.one = (1,) + (0,) * (s - 1)
-        self._reduction = self._build_reduction() if s > 1 else None
-        self._exp = self._log = self._zech = self._log_neg_one = None
+        self._neg_one = self.scalar(-1)
+        self._exp = self._log = self._zech = None
         if s > 1 and self.order <= MAX_CHAR:
             self._build_tables()
-
-    def _build_reduction(self):
-        # coordinates of t^k for k in s..2s-2
-        p, s = self.p, self.s
-        rows = []
-        cur = [(-c) % p for c in self.modulus[:s]]  # t^s
-        rows.append(tuple(cur))
-        for _ in range(s - 2):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            for i in range(s):
-                cur[i] = (cur[i] + top * rows[0][i]) % p
-            rows.append(tuple(cur))
-        return rows
 
     def _build_tables(self):
         # g is the first element in decode order with g^((q-1)/r) != 1 for
@@ -235,8 +217,7 @@ class Field:
         # g^(q-2) twice, so mul indexes it by a sum of two logarithms
         # without a modulo; zero's logarithm is -q, which keeps every sum
         # with it negative.  _zech[k] is the Zech logarithm log(1 + g^k),
-        # None where 1 + g^k = 0, and _log_neg_one is log(-1): (q-1)/2 for
-        # odd p, 0 for p = 2.
+        # None where 1 + g^k = 0, that is at g^k = -1.
         p, q = self.p, self.order
         cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
         g = next(
@@ -249,9 +230,8 @@ class Field:
         self._exp = powers + powers
         log = self._log = {a: k for k, a in enumerate(powers)}
         log[self.zero] = -q
-        neg_one = self._log_neg_one = log[self.scalar(-1)]
         self._zech = [log[((a[0] + 1) % p,) + a[1:]] for a in powers]
-        self._zech[neg_one] = None  # 1 + g^k = 0 exactly at g^k = -1
+        self._zech[log[self._neg_one]] = None
 
     # -- element construction ------------------------------------------
 
@@ -282,10 +262,8 @@ class Field:
 
     # -- arithmetic ----------------------------------------------------
     #
-    # Each of add, sub, neg, mul, pow and inv runs its whole computation
-    # inline and calls none of the others, so one call does one operation.
-    # Table fields validate through the _log lookup; prime fields and
-    # extensions past 2^16 check the arity only.
+    # add, mul and pow each run the field's path of the three in the module
+    # docstring; neg, sub and inv are written over them.
 
     def add(self, a, b):
         log = self._log
@@ -315,52 +293,10 @@ class Field:
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def sub(self, a, b):
-        log = self._log
-        if log is not None:
-            try:
-                i = log[a]
-                j = log[b]
-            except KeyError:
-                raise FieldMismatchError(_FOREIGN) from None
-            if j < 0:
-                return self._exp[i] if i >= 0 else self.zero
-            # log(-b) = j + log(-1) modulo q - 1, and 2 log(-1) = 0 there
-            h = self._log_neg_one
-            j = j - h if j >= h else j + h
-            if i < 0:
-                return self._exp[j]
-            z = self._zech[j - i]
-            return self.zero if z is None else self._exp[i + z]
-        if self.s == 1:
-            try:
-                (x,), (y,) = a, b
-            except ValueError:
-                raise FieldMismatchError(_FOREIGN) from None
-            return ((x - y) % self.p,)
-        if len(a) != self.s or len(b) != self.s:
-            raise FieldMismatchError(_FOREIGN)
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        log = self._log
-        if log is not None:
-            try:
-                i = log[a]
-            except KeyError:
-                raise FieldMismatchError(_FOREIGN) from None
-            # i + log(-1) <= (q-2) + (q-1)/2, inside the doubled _exp
-            return self._exp[i + self._log_neg_one] if i >= 0 else self.zero
-        if self.s == 1:
-            try:
-                (x,) = a
-            except ValueError:
-                raise FieldMismatchError(_FOREIGN) from None
-            return ((-x) % self.p,)
-        if len(a) != self.s:
-            raise FieldMismatchError(_FOREIGN)
-        p = self.p
-        return tuple((-x) % p for x in a)
+        return self.mul(a, self._neg_one)
 
     def mul(self, a, b):
         log = self._log
@@ -383,20 +319,8 @@ class Field:
     def _convolve(self, a, b):
         """Product of two elements of an extension field by polynomial
         multiplication modulo the modulus; fills the tables."""
-        p, s = self.p, self.s
-        conv = [0] * (2 * s - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        out = [c % p for c in conv[:s]]
-        for k in range(s, 2 * s - 1):
-            c = conv[k] % p
-            if c:
-                row = self._reduction[k - s]
-                for i in range(s):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
+        out = _umulmod(a, b, self.modulus, self.p)
+        return tuple(out) + (0,) * (self.s - len(out))
 
     def _convolve_pow(self, a, k: int):
         """a^k for k >= 0 by repeated squaring over _convolve."""
@@ -431,19 +355,7 @@ class Field:
         return self._convolve_pow(a, k)
 
     def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero")
-        log = self._log
-        if log is not None:
-            try:
-                return self._exp[self.order - 1 - log[a]]
-            except KeyError:
-                raise FieldMismatchError(_FOREIGN) from None
-        if len(a) != self.s:
-            raise FieldMismatchError(_FOREIGN)
-        if self.s == 1:
-            return (pow(a[0], self.p - 2, self.p),)
-        return self._convolve_pow(a, self.order - 2)
+        return self.pow(a, -1)
 
     # -- formatting ----------------------------------------------------
 

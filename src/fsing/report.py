@@ -29,8 +29,8 @@ def render_witness(varctx, w):
     return {"e": w.e, "q": w.q, "witness": varctx.monomial_str(w.witness)}
 
 
-def render_certificate(varctx, cert, verified=None):
-    out = {
+def render_certificate(varctx, cert, verified):
+    return {
         "stages": [
             {
                 "inverted_var": varctx.names[st.inverted_var],
@@ -45,10 +45,8 @@ def render_certificate(varctx, cert, verified=None):
             for i, mono in cert.base
         ],
         "notes": list(cert.notes),
+        "verified": verified,
     }
-    if verified is not None:
-        out["verified"] = verified
-    return out
 
 
 def render_invariants(field, rep):

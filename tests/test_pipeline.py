@@ -773,6 +773,19 @@ def test_cli_parse_errors(tmp_path, capsys):
     assert main([]) == 2  # no subcommand
 
 
+@pytest.mark.parametrize("command", ["check", "factor", "fpt"])
+def test_cli_file_without_a_polynomial_exits_2(tmp_path, capsys, command):
+    # a report on no polynomial would pass on no work; modify already
+    # rejects such a file through its --g and --h lookups
+    path = tmp_path / "empty.poly"
+    path.write_text("p 2\nvars x y z w\n")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no polynomial" in captured.err and "empty.poly" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_matroid(tmp_path, capsys):
     good = tmp_path / "u24.matroid"
     lines = ["matroid", "n 4"]
@@ -901,6 +914,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(fsing.cli.__file__)))
         ("chain7", ["check", "chain7.poly"]),
         ("chain10", ["check", "chain10.poly"]),
         ("ext2", ["check", "ext2.poly"]),
+        ("ext257", ["check", "ext257.poly"]),
+        ("ext257-fpt", ["fpt", "ext257.poly", "--e-max", "2"]),
         ("three", ["check", "three.poly", "--s-max", "2"]),
         ("modify", ["modify", "modify.poly", "--g", "g", "--h", "h", "--a", "1,1,0,1",
                     "--s-max", "3", "--max-points", "1"]),
@@ -909,8 +924,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(fsing.cli.__file__)))
         ("modify20-f3", ["modify", "modify20-f3.poly", "--g", "g", "--h", "h",
                          "--a", "1,0,0,0", "--s-max", "2"]),
     ],
-    ids=["chain4", "chain5", "chain7", "chain10", "ext2", "three", "modify", "modify20-f2",
-         "modify20-f3"],
+    ids=["chain4", "chain5", "chain7", "chain10", "ext2", "ext257", "ext257-fpt", "three",
+         "modify", "modify20-f2", "modify20-f3"],
 )
 def test_cli_point_search_reports_pinned(monkeypatch, capsys, name, argv):
     # tests/pinned/NAME.json holds the report of the exhaustive grid loop that
@@ -918,7 +933,9 @@ def test_cli_point_search_reports_pinned(monkeypatch, capsys, name, argv):
     # orders and subfield skipping must reproduce it byte for byte.  The
     # modify20 reports, 20 checked points each, were taken while every
     # threshold sample still reduced the whole shifted power; samples read
-    # off the initial form must reproduce them too
+    # off the initial form must reproduce them too.  The ext257 reports,
+    # taken while F_{257^2} multiplied through its own reduction rows, pin
+    # the field path past 2^16
     monkeypatch.chdir(PINNED)
     assert main(argv) == 0
     with open(f"{name}.json", encoding="utf-8") as handle:
